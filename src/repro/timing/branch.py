@@ -7,16 +7,23 @@ width) and the BTB from 1K to 4K entries.  A fetched branch is considered
 but misses in the BTB (no target to redirect to).
 
 Besides the stateful predictor used by the cycle-level core, this module
-provides batch simulation helpers used by the trace characterisation of
-:mod:`repro.timing.interval` (mispredict rate as a function of predictor
-size) and by the counter machinery (BTB reuse distances).
+provides vectorised batch simulators of the same gshare and BTB over a
+resolved branch stream, used by the trace characterisation of
+:mod:`repro.timing.characterize` (mispredict rate as a function of
+predictor size).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["GshareBTB", "simulate_gshare", "simulate_btb"]
+__all__ = [
+    "GshareBTB",
+    "btb_misses",
+    "gshare_mispredicts",
+    "simulate_btb",
+    "simulate_gshare",
+]
 
 
 class GshareBTB:
@@ -91,54 +98,102 @@ class GshareBTB:
         return mispredict
 
 
+# A map on the four states of a two-bit counter, packed in one byte: bits
+# 2s..2s+1 hold the image of state s.  _COMPOSE[g, f] packs "g after f".
+_STATE_SHIFTS = 2 * np.arange(4, dtype=np.uint8)
+_IMAGES = (np.arange(256, dtype=np.uint8)[:, None] >> _STATE_SHIFTS) & 3
+_COMPOSE = (_IMAGES[:, _IMAGES] << _STATE_SHIFTS).sum(axis=2).astype(np.uint8)
+_INCREMENT = 0b11_11_10_01  # saturating: 0, 1, 2, 3 -> 1, 2, 3, 3
+_DECREMENT = 0b10_01_00_00  # saturating: 0, 1, 2, 3 -> 0, 0, 1, 2
+
+
+def gshare_mispredicts(
+    pcs: np.ndarray, taken: np.ndarray, entries: int
+) -> np.ndarray:
+    """Per-branch direction-mispredict flags of a gshare of ``entries``
+    two-bit counters (weakly taken at reset) trained on ``taken``.
+
+    The global history is built from resolved outcomes, so every PHT
+    index is known up front.  Each counter's update is then one of two
+    maps on its four states (saturating increment or decrement), and the
+    counter value before each access is a prefix composition of those
+    maps over the accesses to its entry: a segmented Hillis-Steele scan
+    on the accesses sorted by entry.
+    """
+    if len(pcs) != len(taken):
+        raise ValueError("pcs and taken must have equal length")
+    outcome = np.asarray(taken).astype(bool)
+    n = len(outcome)
+    mask = entries - 1
+    # Only the low run of ones in the mask survives the shift-and-mask
+    # history update, so history bit k holds outcome i-1-k.
+    history_mask = ((mask + 1) & ~mask) - 1
+    history = np.zeros(n, dtype=np.int64)
+    bits = outcome.astype(np.int64)
+    for k in range(min(max(history_mask, 0).bit_length(), n - 1)):
+        history[k + 1:] |= bits[:n - k - 1] << k
+    index = ((np.asarray(pcs).astype(np.int64) >> 2) ^ history) & mask
+
+    order = np.argsort(index, kind="stable")
+    seg_start = np.ones(n, dtype=bool)
+    seg_start[1:] = index[order[1:]] != index[order[:-1]]
+    positions = np.arange(n)
+    starts = np.flatnonzero(seg_start)
+    longest = int(np.diff(starts, append=n).max()) if n else 0
+    # first[j]: sorted position of the first access to j's entry.
+    first = np.maximum.accumulate(np.where(seg_start, positions, 0))
+    # Inclusive scan: scan[j] maps a counter's reset-time state to its
+    # state after its entry's accesses up to sorted position j.
+    scan = np.where(outcome[order], _INCREMENT, _DECREMENT).astype(np.uint8)
+    span = 1
+    while span < longest:
+        live = np.flatnonzero(positions - span >= first)
+        scan[live] = _COMPOSE[scan[live], scan[live - span]]
+        span *= 2
+    # Bits 4-5 of a map hold the image of state 2, the reset state.
+    counter = np.where(seg_start, 2, (np.roll(scan, 1) >> 4) & 3)
+    wrong = np.empty(n, dtype=bool)
+    wrong[order] = (counter >= 2) != outcome[order]
+    return wrong
+
+
 def simulate_gshare(
     pcs: np.ndarray, taken: np.ndarray, entries: int
 ) -> float:
     """Direction mispredict *rate* of a gshare of ``entries`` counters over
-    a branch stream.  Used by the trace characterisation."""
+    a branch stream (0.0 for an empty stream)."""
+    wrong = gshare_mispredicts(pcs, taken, entries)
+    if len(wrong) == 0:
+        return 0.0
+    return int(wrong.sum()) / len(wrong)
+
+
+def btb_misses(pcs: np.ndarray, taken: np.ndarray, entries: int) -> np.ndarray:
+    """Per-branch miss flags of a direct-mapped BTB of ``entries`` entries
+    (False for not-taken branches, which neither look up nor install).
+
+    A taken branch hits iff the previous taken branch mapping to the same
+    entry had the same PC, found with a stable sort by entry.
+    """
     if len(pcs) != len(taken):
         raise ValueError("pcs and taken must have equal length")
-    if len(pcs) == 0:
-        return 0.0
-    mask = entries - 1
-    history_mask = mask
-    pht = np.full(entries, 2, dtype=np.int8)
-    history = 0
-    wrong = 0
-    shifted = (pcs.astype(np.int64) >> 2)
-    for i in range(len(pcs)):
-        index = (int(shifted[i]) ^ history) & mask
-        counter = pht[index]
-        outcome = bool(taken[i])
-        if (counter >= 2) != outcome:
-            wrong += 1
-        if outcome:
-            if counter < 3:
-                pht[index] = counter + 1
-        elif counter > 0:
-            pht[index] = counter - 1
-        history = ((history << 1) | int(outcome)) & history_mask
-    return wrong / len(pcs)
+    is_taken = np.asarray(taken).astype(bool)
+    taken_pcs = np.asarray(pcs).astype(np.int64)[is_taken]
+    index = (taken_pcs >> 2) & (entries - 1)
+    order = np.argsort(index, kind="stable")
+    miss = np.ones(len(order), dtype=bool)
+    miss[1:] = (index[order[1:]] != index[order[:-1]]) | (
+        taken_pcs[order[1:]] != taken_pcs[order[:-1]])
+    out = np.zeros(len(is_taken), dtype=bool)
+    out[np.flatnonzero(is_taken)[order]] = miss
+    return out
 
 
 def simulate_btb(pcs: np.ndarray, taken: np.ndarray, entries: int) -> float:
     """Fraction of *taken* branches missing a direct-mapped BTB of
-    ``entries`` entries (1.0 if the stream has no taken branches is 0.0)."""
-    if len(pcs) != len(taken):
-        raise ValueError("pcs and taken must have equal length")
-    mask = entries - 1
-    tags: dict[int, int] = {}
-    misses = 0
-    taken_count = 0
-    for i in range(len(pcs)):
-        pc = int(pcs[i])
-        if not taken[i]:
-            continue
-        taken_count += 1
-        index = (pc >> 2) & mask
-        if tags.get(index) != pc:
-            misses += 1
-        tags[index] = pc
+    ``entries`` entries (0.0 if the stream has no taken branches)."""
+    misses = int(btb_misses(pcs, taken, entries).sum())
+    taken_count = int(np.count_nonzero(taken))
     if taken_count == 0:
         return 0.0
     return misses / taken_count

@@ -148,59 +148,72 @@ class CacheHierarchy:
 # ---------------------------------------------------------------------------
 
 
+def _previous_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Index of the previous access with the same key (-1 = first touch).
+
+    A stable sort groups equal keys in access order, so each access's
+    predecessor within its group is its previous occurrence.
+    """
+    keys = np.asarray(keys)
+    prev = np.full(len(keys), -1, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    repeat = keys[order[1:]] == keys[order[:-1]]
+    prev[order[1:][repeat]] = order[:-1][repeat]
+    return prev
+
+
+def _reuse_distances(keys: np.ndarray) -> np.ndarray:
+    """Accesses since the previous access with the same key (-1 = cold)."""
+    prev = _previous_occurrences(keys)
+    gaps = np.arange(len(prev), dtype=np.int64) - prev - 1
+    return np.where(prev < 0, -1, gaps)
+
+
 def stack_distances(blocks: np.ndarray) -> np.ndarray:
     """LRU stack distance of each access in a block-id stream.
 
     The stack distance of an access is the number of *distinct* blocks
     referenced since the previous access to the same block; first touches
-    get distance -1 (cold).  O(N log N) via a Fenwick tree over access
-    times.
+    get distance -1 (cold).
+
+    With ``p = prev[t]`` the previous access to the block at ``t``, the
+    ``t - p - 1`` accesses in between touch ``t - p - 1 - r`` distinct
+    blocks, where ``r = #{u < t : prev[u] > p}`` counts the accesses in
+    the window whose own previous access is also in it.  ``r`` is an
+    offline dominance count: split ``[0, t)`` into the aligned
+    power-of-two blocks given by the set bits of ``t`` and, one bit level
+    at a time, count each block's ``prev`` values above ``p`` by binary
+    search in the block's sorted ``prev`` values.  O(N log^2 N) in numpy,
+    O(N) memory.
     """
-    n = len(blocks)
-    out = np.empty(n, dtype=np.int64)
-    if n == 0:
+    prev = _previous_occurrences(blocks)
+    n = len(prev)
+    out = np.full(n, -1, dtype=np.int64)
+    warm = np.flatnonzero(prev >= 0)
+    if len(warm) == 0:
         return out
-    tree = np.zeros(n + 1, dtype=np.int64)
-
-    def tree_add(i: int, delta: int) -> None:
-        i += 1
-        while i <= n:
-            tree[i] += delta
-            i += i & (-i)
-
-    def tree_sum(i: int) -> int:  # prefix sum of [0, i]
-        i += 1
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return int(total)
-
-    last_seen: dict[int, int] = {}
-    for t in range(n):
-        block = int(blocks[t])
-        prev = last_seen.get(block)
-        if prev is None:
-            out[t] = -1
-        else:
-            out[t] = tree_sum(t - 1) - tree_sum(prev)
-            tree_add(prev, -1)
-        tree_add(t, 1)
-        last_seen[block] = t
+    p = prev[warm]
+    repeats = np.zeros(len(warm), dtype=np.int64)
+    positions = np.arange(n, dtype=np.int64)
+    stride = n + 1  # sort key = block id * stride + (prev + 1)
+    level = 0
+    while (1 << level) < n:
+        block_ids = positions >> level
+        keys = np.sort(block_ids * stride + (prev + 1))
+        query = np.flatnonzero((warm >> level) & 1)
+        # ``[0, t)`` includes the whole aligned block just left of t's.
+        left = (warm[query] >> level) - 1
+        first_above = np.searchsorted(
+            keys, left * stride + p[query] + 1, side="right")
+        repeats[query] += ((left + 1) << level) - first_above
+        level += 1
+    out[warm] = warm - p - 1 - repeats
     return out
 
 
 def block_reuse_distances(blocks: np.ndarray) -> np.ndarray:
     """Accesses since the previous access to the same block (-1 = cold)."""
-    n = len(blocks)
-    out = np.empty(n, dtype=np.int64)
-    last_seen: dict[int, int] = {}
-    for t in range(n):
-        block = int(blocks[t])
-        prev = last_seen.get(block)
-        out[t] = -1 if prev is None else t - prev - 1
-        last_seen[block] = t
-    return out
+    return _reuse_distances(blocks)
 
 
 def set_reuse_distances(blocks: np.ndarray, n_sets: int) -> np.ndarray:
@@ -212,15 +225,7 @@ def set_reuse_distances(blocks: np.ndarray, n_sets: int) -> np.ndarray:
     """
     if n_sets <= 0:
         raise ValueError("n_sets must be positive")
-    n = len(blocks)
-    out = np.empty(n, dtype=np.int64)
-    last_seen: dict[int, int] = {}
-    for t in range(n):
-        set_id = int(blocks[t]) % n_sets
-        prev = last_seen.get(set_id)
-        out[t] = -1 if prev is None else t - prev - 1
-        last_seen[set_id] = t
-    return out
+    return _reuse_distances(np.asarray(blocks) % n_sets)
 
 
 def miss_ratio_curve(
