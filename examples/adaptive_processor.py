@@ -61,8 +61,7 @@ def main() -> None:
     program = build_program(spec2000_suite((test_name,))[0], n_phases=4,
                             n_intervals=30, interval_length=6000,
                             mean_segment=8)
-    controller = AdaptiveController(predictor, extractor,
-                                    initial_config=baseline)
+    controller = AdaptiveController(predictor, extractor)
     print(f"\nadaptive run of unseen benchmark '{test_name}' "
           f"({program.n_intervals} intervals):")
     adaptive = controller.run(program)

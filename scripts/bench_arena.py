@@ -1,4 +1,4 @@
-"""Policy-arena league bench + golden bit-identity gate.
+"""Policy-arena league bench and its correctness gates.
 
 Runs every default policy (softmax, counters-only ablation, LinUCB,
 epsilon-greedy, phase-distance hysteresis, static-best) head-to-head
@@ -19,10 +19,6 @@ budget; every gate still holds.
 Gates (exit non-zero on violation):
 
 - every league carries >= 6 live policies plus the oracle row;
-- **golden guard**: the softmax policy run through the arena reproduces
-  the paper controller's run *bit-identically* on every program —
-  same configuration sequence, same profile/reconfigure flags, and
-  float-equal time/energy/stall accounting;
 - the post-hoc oracle tops every league (no live policy beats the
   charge-aware DP bound over the configurations actually played);
 - the static-best policy's net reward equals the uncharged static
@@ -39,9 +35,7 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.control import AdaptiveController
-from repro.control.arena import DEFAULT_SCENARIOS, ORACLE_NAME, SoftmaxPolicy
-from repro.counters.features import AdvancedFeatureExtractor
+from repro.control.arena import DEFAULT_SCENARIOS, ORACLE_NAME
 from repro.experiments.arena import build_arena, build_default_policies
 from repro.experiments.datastore import DataStore
 from repro.experiments.pipeline import ExperimentPipeline
@@ -49,37 +43,6 @@ from repro.experiments.scale import ReproScale
 
 MIN_POLICIES = 6
 SMOKE_MAX_INTERVALS = 12
-
-
-def golden_guard(pipeline: ExperimentPipeline, arena, scenario) -> list[str]:
-    """Compare the arena's softmax run against the original controller."""
-    predictor = pipeline.full_predictor("advanced")
-    policy = SoftmaxPolicy(predictor)
-    failures: list[str] = []
-    for name, program in pipeline.programs.items():
-        arena_run = arena.run_policy(policy, name, scenario)
-        controller = AdaptiveController(predictor, AdvancedFeatureExtractor())
-        report = controller.run(program, max_intervals=arena.max_intervals)
-        if len(arena_run.records) != len(report.records):
-            failures.append(f"{name}: interval count diverged")
-            continue
-        for ours, golden in zip(arena_run.records, report.records):
-            same = (
-                ours.config == golden.config
-                and ours.profiled == golden.profiled
-                and ours.reconfigured == golden.reconfigured
-                # Bit-identity gate: float equality is the point here.
-                and ours.time_ns == golden.time_ns
-                and ours.energy_pj == golden.energy_pj
-                and ours.stall_ns == golden.stall_ns
-                and ours.reconfig_energy_pj == golden.reconfig_energy_pj
-            )
-            if not same:
-                failures.append(
-                    f"{name} interval {ours.interval}: arena record "
-                    f"diverged from the golden controller")
-                break
-    return failures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -153,10 +116,6 @@ def main(argv: list[str] | None = None) -> int:
                     f"{static_row.per_program[program]!r} != static "
                     f"reference {reference.net_reward!r}")
 
-    paper = next(s for s in DEFAULT_SCENARIOS if s.name == "paper")
-    golden_failures = golden_guard(pipeline, arena, paper)
-    failures.extend(golden_failures)
-
     report = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "python": platform.python_version(),
@@ -169,13 +128,12 @@ def main(argv: list[str] | None = None) -> int:
         "policies": [policy.name for policy in policies],
         "leagues": {name: league.to_json()
                     for name, league in leagues.items()},
-        "golden_bit_identical": not golden_failures,
         "failures": failures,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\nwrote {args.output} ({elapsed:.1f}s)")
 
-    if obs.enabled():  # REPRO_OBS=1: export arena.* spans and counters
+    if obs.enabled():  # REPRO_OBS=1: export arena/control spans and counters
         paths = obs.export_all()
         print(obs.render_summary(obs.merge_records()))
         print(f"wrote {paths['trace']} (open in https://ui.perfetto.dev)")

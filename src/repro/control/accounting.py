@@ -1,12 +1,9 @@
-"""Shared reconfiguration-overhead accounting.
+"""Reconfiguration-overhead accounting.
 
-One formula, two consumers: :class:`~repro.control.controller.AdaptiveController`
-(the paper's figure 2 loop) and the policy arena
-(:mod:`repro.control.arena`).  Keeping the arithmetic in one place is what
-lets the arena's golden guard demand *bit-identity* between the softmax
-policy run through the arena and the original controller: both charge a
-transition through exactly the same floating-point operations in exactly
-the same order.
+One formula for every reconfiguration the repository bills: the
+switches of the control loop (:func:`~repro.control.controller.run_policy_loop`,
+for the controller and every arena policy) and the policy arena's
+hindsight oracle (:mod:`repro.control.arena`).
 
 The charge for switching from ``source`` to ``target`` at an interval is
 
@@ -19,8 +16,9 @@ The charge for switching from ``source`` to ``target`` at an interval is
 
 ``multiplier`` scales the whole charge; arena scenarios use it to study
 overhead regimes (free / paper / punitive).  ``multiplier=1.0`` is exact:
-IEEE multiplication by 1.0 preserves every bit, so the default regime is
-indistinguishable from the controller's own accounting.
+IEEE multiplication by 1.0 preserves every bit, so the arena's paper
+regime charges exactly what :class:`~repro.control.AdaptiveController`
+charges.
 """
 
 from __future__ import annotations
@@ -69,8 +67,8 @@ def charge_reconfiguration(
         interval_length: dynamic instructions per interval.
         paper_interval_instructions: the adaptation interval the overhead
             model is calibrated against (0 disables stall scaling).
-        multiplier: scenario overhead regime; 1.0 is bit-exact with the
-            controller's native accounting.
+        multiplier: scenario overhead regime; 1.0 (the controller's)
+            leaves the charge bit-exact.
     """
     scale = overhead_scale(interval_length, paper_interval_instructions)
     params = derive_machine_params(target)

@@ -1,6 +1,7 @@
 """The policy arena: pluggable adaptivity controllers, head-to-head.
 
-See :mod:`repro.control.arena.policy` for the interface,
+The policy interface and the paper's :class:`SoftmaxPolicy` live with
+the loop in :mod:`repro.control.controller`; see
 :mod:`repro.control.arena.harness` for the league machinery and
 ``docs/arena.md`` for the guide.
 """
@@ -10,37 +11,21 @@ from repro.control.arena.harness import (
     DEFAULT_SCENARIOS,
     ORACLE_NAME,
     Arena,
-    ArenaRewardError,
     ArenaScenario,
     LeagueRow,
     LeagueTable,
     PolicyRunReport,
-    interval_reward,
 )
-from repro.control.arena.policies import (
-    PhaseDistancePolicy,
-    SoftmaxPolicy,
-    StaticPolicy,
-    predictor_digest,
-)
-from repro.control.arena.policy import (
+from repro.control.arena.policies import PhaseDistancePolicy, StaticPolicy
+from repro.control.controller import (
     AdaptivityPolicy,
+    ArenaRewardError,
     PolicyDecision,
     PolicyFeedback,
     PolicyView,
-)
-from repro.control.arena.tabular import (
-    TabularForced,
-    TabularGreedy,
-    TabularPolicy,
-    TabularRandom,
-    TabularRun,
-    TabularScenario,
-    TabularStatic,
-    TabularSticky,
-    run_tabular,
-    static_score,
-    tabular_oracle,
+    SoftmaxPolicy,
+    interval_reward,
+    predictor_digest,
 )
 
 __all__ = [
@@ -61,17 +46,6 @@ __all__ = [
     "PolicyView",
     "SoftmaxPolicy",
     "StaticPolicy",
-    "TabularForced",
-    "TabularGreedy",
-    "TabularPolicy",
-    "TabularRandom",
-    "TabularRun",
-    "TabularScenario",
-    "TabularStatic",
-    "TabularSticky",
     "interval_reward",
     "predictor_digest",
-    "run_tabular",
-    "static_score",
-    "tabular_oracle",
 ]

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.config.configuration import MicroarchConfig
-from repro.control.arena.policy import (
+from repro.control.controller import (
     AdaptivityPolicy,
     PolicyDecision,
     PolicyFeedback,

@@ -1,18 +1,18 @@
 """The policy arena: head-to-head controller evaluation.
 
-The :class:`Arena` drives every registered :class:`~repro.control.arena.policy.AdaptivityPolicy`
-through the same detect → decide → execute loop the paper's controller
-uses (figure 2), with identical accounting:
+The :class:`Arena` drives every registered
+:class:`~repro.control.controller.AdaptivityPolicy` through the
+controller's own detect → decide → execute → charge loop
+(:func:`~repro.control.controller.run_policy_loop`, figure 2), over
+memoised hooks:
 
-* the same online :class:`~repro.phases.detector.PhaseDetector` verdicts
-  (a fresh detector per run, deterministic given the traces);
-* the same interval evaluation (scalar
-  :class:`~repro.timing.interval.IntervalEvaluator` over memoised
-  characterizations — bit-identical to the controller's
-  ``FastIntervalRunner``);
-* the same reconfiguration charging
-  (:func:`~repro.control.accounting.charge_reconfiguration`, the exact
-  code path the controller calls), scaled per
+* a fresh :class:`~repro.phases.detector.PhaseDetector` per run
+  (deterministic given the traces);
+* scalar :class:`~repro.timing.interval.IntervalEvaluator` pricing over
+  memoised characterizations — the computation the controller's
+  ``FastIntervalRunner`` performs;
+* reconfiguration charges from
+  :func:`~repro.control.accounting.charge_reconfiguration`, scaled per
   :class:`ArenaScenario` to study overhead regimes.
 
 **Reward.**  An interval's reward is the natural log of its
@@ -29,13 +29,7 @@ run, the arena collects the union of configurations any of them executed
 (plus the static baseline) and solves, per program, the maximum-net-reward
 configuration sequence with switch charges — the best any policy
 restricted to those configurations could possibly have scored, profiling
-not required.
-
-Charging conventions match the controller exactly: the first interval of
-a run is free (the machine boots in the chosen configuration), a profile
-interval runs on the profiling configuration and is billed the switch
-*into its target* (section III-B1), and a recognised-phase switch is
-billed source → target.
+not required.  Like every policy's, its first interval is free.
 """
 
 from __future__ import annotations
@@ -50,14 +44,15 @@ import numpy as np
 
 from repro import obs
 from repro.config.configuration import PROFILING_CONFIG, MicroarchConfig
-from repro.control.accounting import charge_reconfiguration
-from repro.control.arena.policy import (
+from repro.control.accounting import ReconfigurationCharge, charge_reconfiguration
+from repro.control.controller import (
     AdaptivityPolicy,
-    PolicyDecision,
-    PolicyFeedback,
-    PolicyView,
+    ControllerReport,
+    IntervalRecord,
+    _record_reward,
+    interval_reward,
+    run_policy_loop,
 )
-from repro.control.controller import ControllerReport, IntervalRecord
 from repro.control.reconfiguration import ReconfigurationCost, ReconfigurationModel
 from repro.counters.collector import PhaseCounters, collect_counters
 from repro.counters.features import (
@@ -66,7 +61,7 @@ from repro.counters.features import (
     FeatureExtractor,
 )
 from repro.phases.detector import PhaseDetector, signature_of
-from repro.power.metrics import EfficiencyResult, energy_efficiency
+from repro.power.metrics import EfficiencyResult
 from repro.timing.characterize import TraceCharacterization, characterize
 from repro.timing.interval import IntervalEvaluator
 from repro.workloads.program import Program
@@ -78,27 +73,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only (experiments sits above
 
 __all__ = [
     "Arena",
-    "ArenaRewardError",
     "ArenaScenario",
     "DEFAULT_SCENARIOS",
     "LeagueRow",
     "LeagueTable",
     "ORACLE_NAME",
     "PolicyRunReport",
-    "interval_reward",
 ]
 
 #: League-table name of the post-hoc dynamic-programming oracle.
 ORACLE_NAME = "oracle"
-
-
-class ArenaRewardError(ValueError):
-    """An interval produced a reward the league cannot score.
-
-    Raised when an interval's accounted time or energy is non-positive
-    or its log-efficiency is not finite — a corrupted evaluation would
-    otherwise poison every downstream comparison silently.
-    """
 
 
 @dataclass(frozen=True)
@@ -131,32 +115,6 @@ DEFAULT_SCENARIOS: tuple[ArenaScenario, ...] = (
     ArenaScenario("free", overheads_enabled=False),
     ArenaScenario("costly", overhead_multiplier=25.0),
 )
-
-
-def interval_reward(time_ns: float, energy_pj: float,
-                    instructions: int) -> float:
-    """Log ips³/W of one interval from its accounted time and energy.
-
-    Raises:
-        ArenaRewardError: non-positive time/energy or non-finite result
-            (the negative-reward guard).
-    """
-    if time_ns <= 0 or energy_pj <= 0:
-        raise ArenaRewardError(
-            f"interval has non-positive accounting: time_ns={time_ns!r} "
-            f"energy_pj={energy_pj!r}")
-    ips = instructions / (time_ns * 1e-9)
-    watts = energy_pj / time_ns * 1e-3
-    efficiency = energy_efficiency(ips, watts)
-    if not (efficiency > 0 and math.isfinite(efficiency)):
-        raise ArenaRewardError(f"unscorable efficiency {efficiency!r}")
-    return math.log(efficiency)
-
-
-def _record_reward(record: IntervalRecord, instructions: int) -> float:
-    return interval_reward(record.time_ns + record.stall_ns,
-                           record.energy_pj + record.reconfig_energy_pj,
-                           instructions)
 
 
 @dataclass
@@ -409,20 +367,16 @@ class Arena:
 
     # -- charging -------------------------------------------------------------
 
-    def _charge(self, record: IntervalRecord, source: MicroarchConfig,
-                target: MicroarchConfig, program: str,
-                scenario: ArenaScenario) -> None:
-        """Bill ``record`` for a ``source`` → ``target`` switch."""
-        cost = self._cost(source, target)
-        record.reconfigured = True
-        if scenario.overheads_enabled:
-            charge = charge_reconfiguration(
-                cost, target, self.programs[program].interval_length,
-                self.paper_interval_instructions,
-                scenario.overhead_multiplier,
-            )
-            record.stall_ns = charge.stall_ns
-            record.reconfig_energy_pj = charge.energy_pj
+    def _charge(self, source: MicroarchConfig, target: MicroarchConfig,
+                program: str,
+                scenario: ArenaScenario) -> ReconfigurationCharge | None:
+        """The ``source`` → ``target`` charge (``None`` without overheads)."""
+        if not scenario.overheads_enabled:
+            return None
+        return charge_reconfiguration(
+            self._cost(source, target), target,
+            self.programs[program].interval_length,
+            self.paper_interval_instructions, scenario.overhead_multiplier)
 
     # -- policy execution ----------------------------------------------------
 
@@ -446,71 +400,21 @@ class Arena:
 
     def _run_policy_live(self, policy: AdaptivityPolicy, program: str,
                          scenario: ArenaScenario) -> PolicyRunReport:
-        detector = self.detector_factory()
-        detector.reset()
-        policy.reset(program)
-        run = PolicyRunReport(policy=policy.name, program=program,
-                              scenario=scenario.name, records=[],
-                              rewards=[], decisions=[])
-        current: MicroarchConfig | None = None
-        interval_length = self.programs[program].interval_length
-        with obs.span("arena.run_policy", policy=policy.name,
-                      program=program, scenario=scenario.name):
-            for interval in range(self._intervals(program)):
-                observation = detector.observe(self._trace(program, interval))
-                view = PolicyView(
-                    interval=interval,
-                    observation=observation,
-                    interval_length=interval_length,
-                    _features=lambda fs, i=interval: self._interval_features(
-                        program, i, fs),
-                    _signature=lambda i=interval: self._interval_signature(
-                        program, i),
-                )
-                decision = policy.decide(view)
-                executed = (self.profiling_config if decision.profile
-                            else decision.config)
-                result = self.evaluate(program, interval, executed)
-                record = IntervalRecord(
-                    interval=interval,
-                    phase_id=observation.phase_id,
-                    config=executed,
-                    profiled=decision.profile,
-                    reconfigured=False,
-                    time_ns=result.time_ns,
-                    energy_pj=result.energy_pj * 1e12,
-                )
-                if decision.profile:
-                    # Profile intervals are billed the switch into their
-                    # target (section III-B1) — same as the controller.
-                    self._charge(record, self.profiling_config,
-                                 decision.config, program, scenario)
-                elif current is not None and decision.config != current:
-                    self._charge(record, current, decision.config, program,
-                                 scenario)
-                current = decision.config
-                reward = _record_reward(record, result.instructions)
-                penalty = 0.0
-                if record.stall_ns or record.reconfig_energy_pj:
-                    free = interval_reward(record.time_ns, record.energy_pj,
-                                           result.instructions)
-                    penalty = free - reward
-                run.records.append(record)
-                run.rewards.append(reward)
-                run.decisions.append(decision.config)
-                policy.update(PolicyFeedback(
-                    interval=interval,
-                    observation=observation,
-                    decision=decision,
-                    record=record,
-                    reward=reward,
-                    overhead_penalty=penalty,
-                ))
-            obs.inc("arena.intervals", run.intervals)
-            obs.inc("arena.reconfigurations", run.reconfigurations)
-            obs.inc("arena.profiled_intervals", run.profiled_intervals)
-            obs.inc("arena.runs")
-        return run
+        records, rewards, decisions = run_policy_loop(
+            policy, program, self._intervals(program),
+            self.detector_factory(),
+            profiling_config=self.profiling_config,
+            interval_length=self.programs[program].interval_length,
+            trace=lambda i: self._trace(program, i),
+            execute=lambda i, _, config: self.evaluate(program, i, config),
+            features=lambda i, _, fs: self._interval_features(program, i, fs),
+            signature=lambda i, _: self._interval_signature(program, i),
+            charge=lambda source, target: self._charge(source, target,
+                                                       program, scenario),
+        )
+        return PolicyRunReport(policy=policy.name, program=program,
+                               scenario=scenario.name, records=records,
+                               rewards=rewards, decisions=decisions)
 
     # -- baselines and the oracle --------------------------------------------
 
@@ -551,21 +455,15 @@ class Arena:
         if not pool:
             raise ValueError("oracle needs at least one configuration")
         n = self._intervals(program)
-        interval_length = self.programs[program].interval_length
 
         def reward_at(interval: int, config: MicroarchConfig,
                       source: MicroarchConfig | None) -> float:
             result = self.evaluate(program, interval, config)
-            stall_ns = 0.0
-            extra_pj = 0.0
-            if (source is not None and source != config
-                    and scenario.overheads_enabled):
-                charge = charge_reconfiguration(
-                    self._cost(source, config), config, interval_length,
-                    self.paper_interval_instructions,
-                    scenario.overhead_multiplier)
-                stall_ns = charge.stall_ns
-                extra_pj = charge.energy_pj
+            stall_ns = extra_pj = 0.0
+            if source is not None and source != config:
+                charge = self._charge(source, config, program, scenario)
+                if charge is not None:
+                    stall_ns, extra_pj = charge.stall_ns, charge.energy_pj
             return interval_reward(result.time_ns + stall_ns,
                                    result.energy_pj * 1e12 + extra_pj,
                                    result.instructions)
@@ -603,7 +501,11 @@ class Arena:
                 energy_pj=result.energy_pj * 1e12,
             )
             if previous is not None and config != previous:
-                self._charge(record, previous, config, program, scenario)
+                record.reconfigured = True
+                charge = self._charge(previous, config, program, scenario)
+                if charge is not None:
+                    record.stall_ns = charge.stall_ns
+                    record.reconfig_energy_pj = charge.energy_pj
             previous = config
             run.records.append(record)
             run.rewards.append(_record_reward(record, result.instructions))

@@ -1,17 +1,17 @@
-"""Concrete arena policies: the paper's controller and its rivals.
+"""Concrete arena policies: the paper's controller's rivals.
 
-* :class:`SoftmaxPolicy` — the paper's one-shot strategy behind the
-  :class:`~repro.control.arena.policy.AdaptivityPolicy` interface.  With
-  ``feature_set="basic"`` and a basic-feature predictor it doubles as the
-  counters-only ablation.  Its decisions are bit-identical to
-  :class:`~repro.control.controller.AdaptiveController` (golden-guarded).
+The paper's own strategy, :class:`~repro.control.controller.SoftmaxPolicy`,
+lives with the loop in :mod:`repro.control.controller` (with
+``feature_set="basic"`` and a basic-feature predictor it doubles as the
+counters-only ablation).  Its rivals here:
+
 * :class:`PhaseDistancePolicy` — hysteresis in the spirit of Phase
   Distance Mapping: reuse the nearest profiled phase's configuration when
   the working-set signature is close enough, and refuse to switch (or to
   profile a new phase at all) once the billed reconfiguration penalty has
   grown past the reward spread actually observed — under punitive
   overheads it learns to stay put.
-* :class:`StaticPolicy` — always the given configuration; by the arena's
+* :class:`StaticPolicy` — always the given configuration; by the loop's
   first-interval-is-free accounting it scores *exactly* the static
   reference run (the property suite pins this equality).
 
@@ -20,81 +20,22 @@ Bandit competitors live in :mod:`repro.control.arena.bandit`.
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
 
 from repro.config.configuration import MicroarchConfig
-from repro.control.arena.policy import (
+from repro.control.controller import (
     AdaptivityPolicy,
     PolicyDecision,
     PolicyFeedback,
     PolicyView,
+    predictor_digest,
 )
 from repro.model.predictor import ConfigurationPredictor
 from repro.phases.detector import signature_distance
 
-__all__ = ["PhaseDistancePolicy", "SoftmaxPolicy", "StaticPolicy",
-           "predictor_digest"]
-
-
-def predictor_digest(predictor: ConfigurationPredictor) -> str:
-    """A short stable digest of a trained predictor's weights.
-
-    Folded into policy cache tokens so a retrained model never reuses a
-    stale :class:`DataStore` run.
-    """
-    digest = hashlib.sha256()
-    for name, weights in predictor.weights_state().items():
-        digest.update(name.encode("utf-8"))
-        digest.update(np.ascontiguousarray(weights,
-                                           dtype=np.float64).tobytes())
-    return digest.hexdigest()[:16]
-
-
-class SoftmaxPolicy(AdaptivityPolicy):
-    """The paper's controller as an arena policy.
-
-    Profile every unseen phase, predict once with the trained soft-max
-    model, reuse the stored prediction whenever the phase recurs.  The
-    decision logic mirrors :class:`AdaptiveController.run` statement for
-    statement so the arena reproduces its records bit-identically.
-    """
-
-    def __init__(self, predictor: ConfigurationPredictor, *,
-                 feature_set: str = "advanced", name: str = "softmax") -> None:
-        if not predictor.is_trained:
-            raise ValueError(f"{name} needs a trained predictor")
-        self.predictor = predictor
-        self.feature_set = feature_set
-        self.name = name
-        self._phase_configs: dict[int, MicroarchConfig] = {}
-        self._current: MicroarchConfig | None = None
-
-    def reset(self, program: str) -> None:
-        self._phase_configs = {}
-        self._current = None
-
-    def decide(self, view: PolicyView) -> PolicyDecision:
-        observation = view.observation
-        if observation.phase_changed:
-            stored = self._phase_configs.get(observation.phase_id)
-            if stored is None:
-                target = self.predictor.predict(
-                    view.features(self.feature_set))
-                self._phase_configs[observation.phase_id] = target
-                self._current = target
-                return PolicyDecision(target, profile=True)
-            self._current = stored
-            return PolicyDecision(stored)
-        if self._current is None:  # pragma: no cover - detector contract:
-            # the first observation of a run always reports a phase change.
-            raise RuntimeError("stable interval before any phase change")
-        return PolicyDecision(self._current)
-
-    def cache_token(self) -> tuple[object, ...]:
-        return (self.name, self.feature_set, predictor_digest(self.predictor))
+__all__ = ["PhaseDistancePolicy", "StaticPolicy"]
 
 
 class StaticPolicy(AdaptivityPolicy):

@@ -21,8 +21,10 @@ from repro.config.parameters import (
     parameter_by_name,
 )
 from repro.config.space import DesignSpace
+from repro.control.arena import DEFAULT_SCENARIOS, SoftmaxPolicy
 from repro.control.overheads import plan_set_sampling, sampling_energy_overheads
 from repro.control.reconfiguration import ReconfigurationModel
+from repro.experiments.arena import build_arena
 from repro.experiments.baselines import geomean
 from repro.experiments.pipeline import ExperimentPipeline, PhaseKey
 from repro.experiments.reporting import render_bars, render_distribution, render_table
@@ -641,11 +643,12 @@ def section8_overheads(
     programs: tuple[str, ...] | None = None,
     max_intervals: int = 40,
 ) -> Section8:
-    from repro.control.controller import AdaptiveController
-    from repro.experiments.pipeline import FEATURE_EXTRACTORS
-
+    """The paper's controller (:class:`SoftmaxPolicy`, paper overheads)
+    over the first programs; each run is served from the pipeline's
+    :class:`DataStore` once computed."""
     names = programs or pipeline.benchmark_names[:4]
-    predictor = pipeline.full_predictor("advanced")
+    arena = build_arena(pipeline, max_intervals=max_intervals)
+    policy = SoftmaxPolicy(pipeline.full_predictor("advanced"))
     time_total = 0.0
     energy_total = 0.0
     time_overhead = 0.0
@@ -653,14 +656,8 @@ def section8_overheads(
     reconfigs = 0
     intervals = 0
     for name in names:
-        program = pipeline.programs[name]
-        controller = AdaptiveController(
-            predictor,
-            FEATURE_EXTRACTORS["advanced"],
-            overheads_enabled=True,
-            initial_config=pipeline.baseline_config,
-        )
-        report = controller.run(program, max_intervals=max_intervals)
+        report = arena.run_policy(policy, name,
+                                  DEFAULT_SCENARIOS[0]).controller_report()
         time_total += report.time_ns
         energy_total += report.energy_pj
         time_overhead += report.overhead_time_ns

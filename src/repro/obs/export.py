@@ -235,22 +235,23 @@ def render_summary(records: list[dict[str, object]],
             lines.append(
                 f"  DSE surrogate R^2       "
                 f"{gauges['dse.surrogate_r2']:.3f}")
-    arena = {name: value for name, value in counters.items()
-             if name.startswith("arena.")}
-    if arena:
-        lines.append("  arena:")
+    # The control loop serves both the controller and the arena's league.
+    control = {name: value for name, value in counters.items()
+               if name.startswith("control.")}
+    if control:
+        lines.append("  control loop:")
         for label, key in (
-            ("policy runs", "arena.runs"),
-            ("intervals played", "arena.intervals"),
-            ("reconfigurations", "arena.reconfigurations"),
-            ("profiled intervals", "arena.profiled_intervals"),
+            ("policy runs", "control.runs"),
+            ("intervals played", "control.intervals"),
+            ("reconfigurations", "control.reconfigurations"),
+            ("profiled intervals", "control.profiled_intervals"),
         ):
-            lines.append(f"    {label:<21} {arena.get(key, 0.0):.0f}")
-        intervals = arena.get("arena.intervals", 0.0)
+            lines.append(f"    {label:<21} {control.get(key, 0.0):.0f}")
+        intervals = control.get("control.intervals", 0.0)
         if intervals:
             lines.append(
                 f"    reconfiguration rate  "
-                f"{arena.get('arena.reconfigurations', 0.0) / intervals:.1%}")
+                f"{control.get('control.reconfigurations', 0.0) / intervals:.1%}")
     serving = {name: value for name, value in counters.items()
                if name.startswith("serve.")}
     if serving:

@@ -6,9 +6,11 @@ instead tracks *how much* each basic block executes — an accumulating
 basic-block vector per interval, compared by Manhattan distance and
 matched against a table of past phase centroids.
 
-Both detectors expose the same ``observe``/``reset`` protocol, so the
-:class:`~repro.control.AdaptiveController` accepts either; a test compares
-their verdicts on the same schedules.
+Both detectors expose the same ``observe``/``reset`` protocol, and both
+report a phase change on the first ``observe()`` after ``reset()`` — the
+contract the control loop (:func:`~repro.control.controller.run_policy_loop`)
+relies on — so the :class:`~repro.control.AdaptiveController` and the
+policy arena accept either.
 """
 
 from __future__ import annotations

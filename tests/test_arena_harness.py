@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import DesignSpace, PROFILING_CONFIG
 from repro.control import AdaptiveController
 from repro.control.arena import (
@@ -22,6 +23,7 @@ from repro.counters import BasicFeatureExtractor
 from repro.experiments.datastore import DataStore
 from repro.model import ConfigurationPredictor
 from repro.workloads import PhaseSpec, Program
+from tests.controller_pins import load_pins, pin
 
 PAPER = DEFAULT_SCENARIOS[0]
 FREE = DEFAULT_SCENARIOS[1]
@@ -67,38 +69,26 @@ def softmax(trained_predictor):
     return SoftmaxPolicy(trained_predictor, feature_set="basic")
 
 
-class TestBitIdentity:
-    def test_softmax_matches_controller_bit_for_bit(self, arena, program,
-                                                    trained_predictor):
-        """The tentpole guarantee: the refactored softmax policy run
-        through the arena reproduces AdaptiveController exactly —
-        configs, flags, and float-equal accounting."""
-        run = arena.run_policy(softmax(trained_predictor), "ar", PAPER)
-        golden = AdaptiveController(
-            trained_predictor, BasicFeatureExtractor()).run(program)
-        assert len(run.records) == len(golden.records)
-        for ours, theirs in zip(run.records, golden.records):
-            assert ours.config == theirs.config
-            assert ours.profiled == theirs.profiled
-            assert ours.reconfigured == theirs.reconfigured
-            assert ours.phase_id == theirs.phase_id
-            # Float equality is deliberate: this is the bit-identity gate.
-            assert ours.time_ns == theirs.time_ns
-            assert ours.energy_pj == theirs.energy_pj
-            assert ours.stall_ns == theirs.stall_ns
-            assert ours.reconfig_energy_pj == theirs.reconfig_energy_pj
-
-    def test_overheads_disabled_matches_controller_too(self, arena, program,
-                                                       trained_predictor):
-        run = arena.run_policy(softmax(trained_predictor), "ar", FREE)
-        golden = AdaptiveController(
+class TestControllerPins:
+    @pytest.mark.parametrize("overheads", ["on", "off"])
+    def test_controller_records_match_pins(self, program, trained_predictor,
+                                           overheads):
+        """The controller on the policy loop reproduces the records
+        pinned from its pre-loop implementation (basic features)."""
+        report = AdaptiveController(
             trained_predictor, BasicFeatureExtractor(),
-            overheads_enabled=False).run(program)
-        assert all(o.stall_ns == 0.0 for o in run.records)
-        for ours, theirs in zip(run.records, golden.records):
-            assert ours.config == theirs.config
-            assert ours.time_ns == theirs.time_ns
-            assert ours.energy_pj == theirs.energy_pj
+            overheads_enabled=overheads == "on").run(program)
+        assert pin(report.records) == load_pins()[
+            f"ar/basic/overheads-{overheads}"]
+
+    def test_softmax_policy_run_equals_controller_run(
+            self, arena, program, trained_predictor):
+        """Both front ends share one loop: the arena's softmax run and
+        the controller's produce the same records."""
+        run = arena.run_policy(softmax(trained_predictor), "ar", PAPER)
+        report = AdaptiveController(
+            trained_predictor, BasicFeatureExtractor()).run(program)
+        assert run.records == report.records
 
 
 class TestStaticEquality:
@@ -156,6 +146,25 @@ class TestLeague:
         assert {row["policy"] for row in payload["rows"]} == {
             row.policy for row in league.rows}
         assert ORACLE_NAME in league.render()
+
+    def test_summary_reports_league_loop_counters(
+            self, program, baseline_config, trained_predictor, tmp_path):
+        obs.configure(enabled=True, directory=str(tmp_path))
+        try:
+            Arena({"ar": program}, baseline_config).league(
+                [softmax(trained_predictor), StaticPolicy(baseline_config)],
+                PAPER)
+            obs.flush()
+            summary = obs.render_summary(obs.merge_records(tmp_path))
+        finally:
+            obs.reset_from_env()
+        assert "control loop:" in summary
+        runs = next(line for line in summary.splitlines()
+                    if "policy runs" in line)
+        assert runs.split()[-1] == "2"
+        intervals = next(line for line in summary.splitlines()
+                         if "intervals played" in line)
+        assert intervals.split()[-1] == str(2 * program.n_intervals)
 
     def test_duplicate_policy_names_rejected(self, arena, baseline_config):
         with pytest.raises(ValueError, match="duplicate"):

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for the arena's core invariants.
 
-Run on the tabular substrate (:mod:`repro.control.arena.tabular`), where
+Run on the tabular substrate (:mod:`tests.arena_tabular`), where
 the invariants are provable rather than empirical:
 
 * the DP oracle dominates every policy under every overhead regime;
@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis", reason="hypothesis is a dev dependency")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.control.arena import (
+from tests.arena_tabular import (
     TabularForced,
     TabularGreedy,
     TabularRandom,

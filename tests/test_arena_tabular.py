@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control.arena import (
+from tests.arena_tabular import (
     TabularForced,
     TabularGreedy,
     TabularRandom,

@@ -1,12 +1,16 @@
 """Tests for the adaptive controller (the figure 2 loop)."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import DesignSpace, PROFILING_CONFIG
 from repro.control import AdaptiveController, CycleIntervalRunner
 from repro.counters import BasicFeatureExtractor
 from repro.model import ConfigurationPredictor
+from repro.obs.shards import read_records, shard_path
 from repro.workloads import PhaseSpec, Program
 
 
@@ -103,6 +107,27 @@ class TestAdaptiveRun:
         with pytest.raises(ValueError):
             AdaptiveController(ConfigurationPredictor(),
                                BasicFeatureExtractor())
+
+
+class TestObservability:
+    def test_run_records_loop_span_and_counters(self, trained_predictor,
+                                                program, tmp_path):
+        obs.configure(enabled=True, directory=str(tmp_path))
+        try:
+            report = make_controller(trained_predictor).run(program)
+            counters = obs.snapshot()["counters"]
+            spans = [record for record in
+                     read_records(shard_path(tmp_path, os.getpid()))
+                     if record["name"] == "control.loop"]
+        finally:
+            obs.reset_from_env()
+        assert [span["attrs"] for span in spans] == [
+            {"policy": "softmax", "program": "ctl"}]
+        assert counters["control.runs"] == 1
+        assert counters["control.intervals"] == report.intervals
+        assert counters["control.reconfigurations"] == report.reconfigurations
+        assert (counters["control.profiled_intervals"]
+                == report.profiling_intervals)
 
 
 class TestStaticRun:

@@ -85,14 +85,18 @@ class TestPipelineFigures:
         assert "dynamic" in overheads.render()
 
     def test_section8(self, quick_pipeline):
-        result = section8_overheads(
-            quick_pipeline,
-            programs=quick_pipeline.benchmark_names[:2],
-            max_intervals=8,
-        )
+        args = dict(programs=quick_pipeline.benchmark_names[:2],
+                    max_intervals=8)
+        result = section8_overheads(quick_pipeline, **args)
         assert 0 <= result.reconfiguration_rate <= 1
         assert result.time_overhead < 0.5
         assert "reconfiguration rate" in result.render()
+        # A second call is served from the store: equal, no recompute.
+        store = quick_pipeline.store
+        hits, misses = store.hits, store.misses
+        assert section8_overheads(quick_pipeline, **args) == result
+        assert store.misses == misses
+        assert store.hits > hits
 
     def test_evaluator_validation(self, quick_pipeline):
         result = evaluator_validation(quick_pipeline, n_phases=2,

@@ -23,10 +23,9 @@ import math
 import pytest
 
 from repro.control import AdaptiveController
-from repro.control.arena import DEFAULT_SCENARIOS, SoftmaxPolicy
 from repro.counters.features import AdvancedFeatureExtractor
-from repro.experiments.arena import build_arena
 from repro.experiments.figures import figure4, figure6
+from tests.controller_pins import load_pins, pin
 
 RTOL = 0.02
 
@@ -107,28 +106,18 @@ def test_oracle_beats_baseline_on_every_benchmark(fig6):
         assert math.isfinite(fig6.model[name])
 
 
-def test_softmax_via_arena_is_bit_identical_to_controller(quick_pipeline):
-    """ISSUE 10 golden guard on the quick suite: routing the paper's
-    softmax controller through the arena's policy interface reproduces
-    ``AdaptiveController``'s decisions and accounting bit-for-bit on
-    every quick-scale program.  Any divergence means the refactor
-    changed the controller's semantics."""
+@pytest.mark.parametrize("overheads", ["on", "off"])
+def test_controller_records_match_pins(quick_pipeline, overheads):
+    """``AdaptiveController`` records on every quick-scale program (12
+    intervals) match the pins captured from the controller before it was
+    rebuilt on the shared policy loop: configurations, phases and flags
+    exactly, floats to 9 significant digits."""
     predictor = quick_pipeline.full_predictor("advanced")
-    arena = build_arena(quick_pipeline, max_intervals=12, use_store=False)
-    paper = DEFAULT_SCENARIOS[0]
-    policy = SoftmaxPolicy(predictor)
+    pins = load_pins()
     for name, program in quick_pipeline.programs.items():
-        run = arena.run_policy(policy, name, paper)
-        golden = AdaptiveController(
-            predictor, AdvancedFeatureExtractor()).run(program,
-                                                       max_intervals=12)
-        assert len(run.records) == len(golden.records), name
-        for ours, theirs in zip(run.records, golden.records):
-            assert ours.config == theirs.config, name
-            assert ours.profiled == theirs.profiled, name
-            assert ours.reconfigured == theirs.reconfigured, name
-            # Float equality is deliberate — bit-identity is the gate.
-            assert ours.time_ns == theirs.time_ns, name
-            assert ours.energy_pj == theirs.energy_pj, name
-            assert ours.stall_ns == theirs.stall_ns, name
-            assert ours.reconfig_energy_pj == theirs.reconfig_energy_pj, name
+        report = AdaptiveController(
+            predictor, AdvancedFeatureExtractor(),
+            overheads_enabled=overheads == "on").run(program,
+                                                     max_intervals=12)
+        assert pin(report.records) == pins[
+            f"quick/{name}/overheads-{overheads}"], name

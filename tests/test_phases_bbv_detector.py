@@ -18,6 +18,22 @@ def program():
                    interval_length=3000, seed=2)
 
 
+@pytest.mark.parametrize("detector_class", [PhaseDetector, BBVPhaseDetector])
+def test_first_observation_after_reset_is_a_phase_change(program,
+                                                         detector_class):
+    """The control loop's contract: the first ``observe()`` after
+    ``reset()`` reports a phase change, whatever came before — so every
+    run's first interval is profiled."""
+    detector = detector_class()
+    traces = [program.interval_trace(i) for i in range(program.n_intervals)]
+    for trace in traces:
+        detector.observe(trace)
+    assert not detector.observe(traces[-1]).phase_changed  # stable repeat
+    for trace in traces:
+        detector.reset()
+        assert detector.observe(trace).phase_changed
+
+
 class TestBBVPhaseDetector:
     def test_first_interval_is_new(self, program):
         detector = BBVPhaseDetector()
