@@ -475,7 +475,6 @@ def run_soak(fixture: ServingFixture, shards: int, soak_seconds: float,
     report = {
         "shards": shards,
         "cpus": cpus,
-        "mode": soak_run["supervisor"]["mode"],
         "duration_seconds": soak_seconds,
         "pipeline_window": window,
         "final_connections": final_connections,
@@ -576,8 +575,10 @@ def main(argv: list[str] | None = None) -> int:
                              "gate still holds)")
     parser.add_argument("--soak", action="store_true",
                         help="also run the multi-shard sustained-load soak")
-    parser.add_argument("--shards", type=positive, default=4,
-                        help="fleet size for the soak (default 4)")
+    parser.add_argument("--shards", type=positive,
+                        default=min(4, os.cpu_count() or 1),
+                        help="fleet size for the soak (default: 4, or "
+                             "the cpu count if lower)")
     parser.add_argument("--soak-seconds", type=float, default=60.0,
                         help="soak duration (default 60; CI uses 20)")
     parser.add_argument("--output", type=Path,
@@ -612,8 +613,7 @@ def main(argv: list[str] | None = None) -> int:
     if soak_report is not None:
         steady = soak_report["steady"]
         sharing = soak_report["weight_sharing"]
-        print(f"[bench-serve] soak: {soak_report['shards']} shards "
-              f"({soak_report['mode']}) for "
+        print(f"[bench-serve] soak: {soak_report['shards']} shards for "
               f"{soak_report['duration_seconds']:.0f}s: "
               f"{steady['predictions_per_sec']:.0f} predictions/s steady "
               f"({soak_report['speedup']:.2f}x vs 1 shard, require "

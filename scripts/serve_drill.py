@@ -260,7 +260,7 @@ async def fleet_drill(fixture: ServingFixture) -> None:
         check(len(burst) == total
               and all(r is not None for r in burst.values()),
               f"fleet: all {total} requests answered across "
-              f"{FLEET_SHARDS} shards ({supervisor.stats()['mode']})")
+              f"{FLEET_SHARDS} shards")
         check(matches_offline(offline_before, burst) == total,
               "fleet: every shard bit-identical to the offline "
               "quantized path")

@@ -20,8 +20,10 @@ Run it with::
 
     PYTHONPATH=src python -m repro.analysis src scripts
 
-Findings print as ``file:line:col RULE message`` and the process exits
-non-zero when any survive suppression.  Suppress a documented false
+Each file is parsed and checked once, in-process and uncached; then the
+whole-program rules run over the facts of every module.  Findings
+print as ``file:line:col RULE message`` and the process exits non-zero
+when any survive suppression.  Suppress a documented false
 positive with a trailing ``# reprolint: disable=RPL-X000`` comment (or
 ``# reprolint: disable-file=RPL-X000`` anywhere in the file to suppress
 for the whole file).  See ``docs/reprolint.md`` for the rule catalogue.
@@ -34,10 +36,7 @@ from __future__ import annotations
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import (
-    AnalysisReport,
     UnknownRuleError,
-    analyze_paths,
-    check_file,
     check_paths,
     check_project_sources,
     check_source,
@@ -58,11 +57,8 @@ __all__ = [
     "Project",
     "extract_facts",
     "check_source",
-    "check_file",
     "check_paths",
     "check_project_sources",
-    "analyze_paths",
-    "AnalysisReport",
     "UnknownRuleError",
     "main",
 ]

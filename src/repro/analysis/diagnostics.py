@@ -20,21 +20,12 @@ class Diagnostic:
         """The canonical ``file:line:col RULE message`` form."""
         return f"{self.path}:{self.line}:{self.col} {self.rule} {self.message}"
 
-    def to_dict(self) -> dict[str, object]:
-        return {"path": self.path, "line": self.line, "col": self.col,
-                "rule": self.rule, "message": self.message}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Diagnostic":
-        return cls(path=data["path"], line=data["line"], col=data["col"],
-                   rule=data["rule"], message=data["message"])
-
     def fingerprint(self) -> str:
-        """Stable identity for baseline grandfathering.
+        """Stable identity for SARIF's ``partialFingerprints``.
 
-        Deliberately excludes line/col so findings survive unrelated
-        edits shifting them around; moving a finding to a different
-        file or changing its message re-surfaces it.
+        Deliberately excludes line/col so code scanning tracks a finding
+        across unrelated edits that shift it around; moving it to a
+        different file or changing its message makes it a new alert.
         """
         digest = hashlib.sha256(
             f"{self.path}::{self.rule}::{self.message}".encode())

@@ -1,4 +1,4 @@
-"""Whole-program model: per-module facts, import graph, call graph.
+"""Whole-program model: per-module facts and the call graph.
 
 Per-file AST rules structurally cannot see cross-module hazards — a
 sync helper that sleeps two frames below an ``async def`` passes the
@@ -8,16 +8,14 @@ substrate the interprocedural rules (:mod:`repro.analysis.interproc`)
 stand on:
 
 * :func:`extract_facts` distils one parsed module into a
-  JSON-serialisable :class:`ModuleFacts` — function definitions with
-  their outgoing call sites, blocking-call sites, RNG-construction
-  sites, ``DataStore`` write sites, classes with their unpicklable
-  state, imports and re-exports, and the suppression table.  Facts are
-  what the incremental cache stores, so unchanged modules skip
-  re-parsing entirely.
-* :class:`Project` assembles the facts of every analysed module into an
-  import graph and a conservative call graph.  Name and attribute calls
-  are resolved through import tables, module re-exports and simple
-  local type inference (``plan = FaultPlan.from_env()`` →
+  :class:`ModuleFacts` — function definitions with their outgoing call
+  sites, blocking-call sites, RNG-construction sites, ``DataStore``
+  write sites, classes with their unpicklable state, re-exports, and
+  the suppression table.
+* :class:`Project` assembles the facts of every analysed module into a
+  conservative call graph.  Name and attribute calls are resolved
+  through import tables, module re-exports and simple local type
+  inference (``plan = FaultPlan.from_env()`` →
   ``plan.claim()`` resolves to ``FaultPlan.claim``);
   ``functools.partial(fn, ...)`` resolves to ``fn``; calls whose target
   cannot be proven degrade to an *unknown* edge rather than a guess —
@@ -34,7 +32,7 @@ the event loop and is not exempt — only references are.)
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.analysis.module import ModuleInfo, dotted_name, is_test_path
@@ -130,7 +128,7 @@ def module_name_for(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# facts data model (JSON-round-trippable: plain dicts/lists/strings)
+# facts data model
 # ---------------------------------------------------------------------------
 
 
@@ -156,18 +154,6 @@ class CallSite:
     offloaded: bool = False
     args: tuple[str, ...] = ()
     kwargs: tuple[tuple[str, str], ...] = ()
-
-    def to_dict(self) -> dict:
-        return {"line": self.line, "col": self.col, "spec": list(self.spec),
-                "offloaded": self.offloaded, "args": list(self.args),
-                "kwargs": [list(kv) for kv in self.kwargs]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CallSite":
-        return cls(line=data["line"], col=data["col"],
-                   spec=tuple(data["spec"]), offloaded=data["offloaded"],
-                   args=tuple(data["args"]),
-                   kwargs=tuple((k, v) for k, v in data["kwargs"]))
 
 
 @dataclass(frozen=True)
@@ -198,35 +184,6 @@ class FunctionFacts:
         return not any(part.startswith("_")
                        for part in self.qualname.split("."))
 
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname, "line": self.line,
-            "is_async": self.is_async, "class_name": self.class_name,
-            "params": list(self.params),
-            "calls": [c.to_dict() for c in self.calls],
-            "blocking": [list(b) for b in self.blocking],
-            "rng": [list(r) for r in self.rng],
-            "store_writes": [list(w) for w in self.store_writes],
-            "returns": list(self.returns),
-            "submissions": [list(s) for s in self.submissions],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "FunctionFacts":
-        return cls(
-            qualname=data["qualname"], line=data["line"],
-            is_async=data["is_async"], class_name=data["class_name"],
-            params=tuple(data["params"]),
-            calls=tuple(CallSite.from_dict(c) for c in data["calls"]),
-            blocking=tuple((a, b, c) for a, b, c in data["blocking"]),
-            rng=tuple((a, b, c) for a, b, c in data["rng"]),
-            store_writes=tuple((a, b, c, d)
-                               for a, b, c, d in data["store_writes"]),
-            returns=tuple(data["returns"]),
-            submissions=tuple((a, b, c, d)
-                              for a, b, c, d in data["submissions"]),
-        )
-
 
 @dataclass(frozen=True)
 class ClassFacts:
@@ -243,19 +200,6 @@ class ClassFacts:
     #: fixpoint in :meth:`Project.unpicklable_state`).
     unpicklable: tuple[tuple[str, str, int], ...]
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "line": self.line,
-                "bases": list(self.bases), "methods": list(self.methods),
-                "unpicklable": [list(u) for u in self.unpicklable]}
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ClassFacts":
-        return cls(name=data["name"], line=data["line"],
-                   bases=tuple(data["bases"]),
-                   methods=tuple(data["methods"]),
-                   unpicklable=tuple((a, b, c)
-                                     for a, b, c in data["unpicklable"]))
-
 
 @dataclass(frozen=True)
 class ModuleFacts:
@@ -263,38 +207,11 @@ class ModuleFacts:
 
     path: str
     module: str
-    imports: tuple[str, ...]  # candidate imported module names
     reexports: tuple[tuple[str, str], ...]  # local name -> canonical target
     functions: tuple[FunctionFacts, ...]
     classes: tuple[ClassFacts, ...]
     suppress_lines: tuple[tuple[int, tuple[str, ...]], ...]
     suppress_file: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path, "module": self.module,
-            "imports": list(self.imports),
-            "reexports": [list(kv) for kv in self.reexports],
-            "functions": [f.to_dict() for f in self.functions],
-            "classes": [c.to_dict() for c in self.classes],
-            "suppress_lines": [[line, list(rules)]
-                               for line, rules in self.suppress_lines],
-            "suppress_file": list(self.suppress_file),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ModuleFacts":
-        return cls(
-            path=data["path"], module=data["module"],
-            imports=tuple(data["imports"]),
-            reexports=tuple((k, v) for k, v in data["reexports"]),
-            functions=tuple(FunctionFacts.from_dict(f)
-                            for f in data["functions"]),
-            classes=tuple(ClassFacts.from_dict(c) for c in data["classes"]),
-            suppress_lines=tuple((line, tuple(rules))
-                                 for line, rules in data["suppress_lines"]),
-            suppress_file=tuple(data["suppress_file"]),
-        )
 
     def is_suppressed(self, rule_id: str, line: int) -> bool:
         rule_id = rule_id.upper()
@@ -377,7 +294,6 @@ class _Extractor:
         return ModuleFacts(
             path=self.mi.path,
             module=self.module_name,
-            imports=tuple(self._imported_modules()),
             reexports=tuple(sorted(self._reexports().items())),
             functions=tuple(functions),
             classes=tuple(classes),
@@ -386,21 +302,6 @@ class _Extractor:
                 for line, rules in per_line.items())),
             suppress_file=tuple(sorted(whole_file)),
         )
-
-    def _imported_modules(self) -> list[str]:
-        found: list[str] = []
-        for node in ast.walk(self.mi.tree):
-            if isinstance(node, ast.Import):
-                found.extend(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module \
-                    and not node.level:
-                found.append(node.module)
-                found.extend(f"{node.module}.{alias.name}"
-                             for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level:
-                # canonicalised by the relative-import table
-                found.extend(self._relative.values())
-        return sorted(set(found))
 
     def _reexports(self) -> dict[str, str]:
         """Module-level names that stand for symbols defined elsewhere."""
@@ -1042,15 +943,6 @@ class Project:
         return None
 
     # -- graphs ----------------------------------------------------------------
-
-    def import_graph(self) -> dict[str, tuple[str, ...]]:
-        """Module → sorted in-project modules it imports."""
-        graph: dict[str, tuple[str, ...]] = {}
-        for name, facts in sorted(self.modules.items()):
-            internal = {candidate for candidate in facts.imports
-                        if candidate in self.modules and candidate != name}
-            graph[name] = tuple(sorted(internal))
-        return graph
 
     def edges(self, key: FnKey) -> tuple[Edge, ...]:
         """Resolved outgoing call edges of one function (memoised)."""

@@ -78,14 +78,13 @@ def build_service(
     port: int = 0,
     clock: Callable[[], float] = time.monotonic,
     sock: socket.socket | None = None,
-    reuse_port: bool = False,
     shard_id: int | None = None,
 ) -> PredictionServer:
     """Wire the full serving stack from a weight-store directory.
 
     The ladder is quantized → float → (static, when a table is given)
     → baseline; both model rungs warm-reload from ``store_path``.
-    ``sock``/``reuse_port``/``shard_id`` are the multi-process shard
+    ``sock``/``shard_id`` are the multi-process shard
     hooks (see :mod:`repro.serving.frontend`).
     """
     breaker = CircuitBreaker(
@@ -116,4 +115,4 @@ def build_service(
     )
     return PredictionServer(ladder, policy=policy, host=host, port=port,
                             queue_limit=queue_limit, sock=sock,
-                            reuse_port=reuse_port, shard_id=shard_id)
+                            shard_id=shard_id)

@@ -7,13 +7,10 @@ shards):
 * **Topology** — spawn ``REPRO_SERVE_SHARDS`` worker processes
   (``spawn`` start method: no forked event loops, and the page-sharing
   numbers are honest rather than copy-on-write leftovers), all
-  accepting on one ``(host, port)``.  Preferred mechanism is
-  ``SO_REUSEPORT`` — each shard binds its own socket and the kernel
-  load-balances connections — with an inherited listening socket
-  (fd-passed to every shard) as the fallback.  In reuse-port mode the
-  supervisor keeps a bound, *non-listening* placeholder socket in the
-  group for the fleet's lifetime, so the port cannot be lost to
-  another process while a crashed shard is being restarted.
+  accepting on one ``(host, port)``.  The supervisor binds one
+  listening socket and fd-passes it to every shard; it holds the
+  socket for the fleet's lifetime, so the port stays open while a
+  crashed shard is being restarted.
 * **Supervision** — :meth:`reap_and_restart` respawns dead shards
   (counted per shard); :meth:`terminate` fans ``SIGTERM`` out, joins
   every shard, and propagates their exit codes.
@@ -42,7 +39,7 @@ from repro.experiments.errors import CorruptInputError
 from repro.model.serialize import manifest_digest
 from repro.serving.shard import ShardSpec, shard_main
 
-__all__ = ["ShardSupervisor", "default_shard_count", "reuse_port_supported"]
+__all__ = ["ShardSupervisor", "default_shard_count"]
 
 _ENV_SHARDS = "REPRO_SERVE_SHARDS"
 
@@ -53,18 +50,6 @@ def default_shard_count() -> int:
         return max(1, int(os.environ.get(_ENV_SHARDS, "1")))
     except ValueError:
         return 1
-
-
-def reuse_port_supported() -> bool:
-    """Whether this platform can share a port via ``SO_REUSEPORT``."""
-    if not hasattr(socket, "SO_REUSEPORT"):
-        return False
-    try:
-        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
-            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-    except OSError:
-        return False
-    return True
 
 
 class _Shard:
@@ -88,9 +73,6 @@ class ShardSupervisor:
         host/port: the fleet's single listen address (port 0 lets the
             supervisor pick; read :attr:`port` back after
             :meth:`start`).
-        reuse_port: force the accept mechanism; ``None`` auto-detects
-            (``SO_REUSEPORT`` where available, inherited socket
-            otherwise).
         ready_timeout_s: per-:meth:`start` bound on waiting for every
             shard to accept connections.
         **server_kwargs: forwarded into every shard's
@@ -105,7 +87,6 @@ class ShardSupervisor:
         shards: int | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        reuse_port: bool | None = None,
         ready_timeout_s: float = 30.0,
         static_table: Mapping[str, object] | None = None,
         static_default: object | None = None,
@@ -125,8 +106,6 @@ class ShardSupervisor:
             raise ValueError("shards must be >= 1")
         self.host = host
         self._requested_port = port
-        self.reuse_port = (reuse_port if reuse_port is not None
-                           else reuse_port_supported())
         self.ready_timeout_s = ready_timeout_s
         self._spec_kwargs = dict(
             static_table=static_table,
@@ -144,7 +123,6 @@ class ShardSupervisor:
             self._spec_kwargs["baseline"] = baseline
         self._ctx = multiprocessing.get_context("spawn")
         self._shards: list[_Shard] = [_Shard(i) for i in range(self.n_shards)]
-        self._placeholder: socket.socket | None = None
         self._listen_sock: socket.socket | None = None
         self._port: int | None = None
         self._store_digest: str | None = None
@@ -176,24 +154,12 @@ class ShardSupervisor:
         if self._started:
             raise RuntimeError("supervisor already started")
         self._started = True
-        if self.reuse_port:
-            # Reserve the port for the fleet: bound (never listening),
-            # so it holds the SO_REUSEPORT group open across shard
-            # restarts without stealing any connections.
-            self._placeholder = socket.socket(
-                socket.AF_INET, socket.SOCK_STREAM)
-            self._placeholder.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            self._placeholder.bind((self.host, self._requested_port))
-            self._port = self._placeholder.getsockname()[1]
-        else:
-            self._listen_sock = socket.socket(
-                socket.AF_INET, socket.SOCK_STREAM)
-            self._listen_sock.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._listen_sock.bind((self.host, self._requested_port))
-            self._listen_sock.listen(128)
-            self._port = self._listen_sock.getsockname()[1]
+        self._listen_sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listen_sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listen_sock.bind((self.host, self._requested_port))
+        self._listen_sock.listen(128)
+        self._port = self._listen_sock.getsockname()[1]
         try:
             self._store_digest = manifest_digest(self.store_path)
         except CorruptInputError:
@@ -207,13 +173,11 @@ class ShardSupervisor:
             raise
 
     def _spec(self, shard_id: int) -> ShardSpec:
+        assert self._listen_sock is not None
         return ShardSpec(
             store_path=self.store_path,
             shard_id=shard_id,
-            host=self.host,
-            port=self.port if self.reuse_port else 0,
-            reuse_port=self.reuse_port,
-            sock=None if self.reuse_port else self._listen_sock,
+            sock=self._listen_sock,
             **self._spec_kwargs,  # type: ignore[arg-type]
         )
 
@@ -243,9 +207,8 @@ class ShardSupervisor:
     def reap_and_restart(self) -> list[int]:
         """Respawn every dead shard; returns the restarted shard ids.
 
-        The rest of the fleet keeps serving throughout — in reuse-port
-        mode the placeholder socket keeps the port reserved, in
-        inherited-socket mode the shared listener never went away.
+        The rest of the fleet keeps serving throughout: the shared
+        listener never went away.
         """
         restarted: list[int] = []
         for shard in self._shards:
@@ -286,10 +249,9 @@ class ShardSupervisor:
                 process.join(timeout=5.0)
             shard.exit_code = process.exitcode
             codes[shard.shard_id] = process.exitcode
-        for sock in (self._placeholder, self._listen_sock):
-            if sock is not None:
-                sock.close()
-        self._placeholder = self._listen_sock = None
+        if self._listen_sock is not None:
+            self._listen_sock.close()
+            self._listen_sock = None
         return codes
 
     # -- hot reload ------------------------------------------------------------
@@ -327,7 +289,6 @@ class ShardSupervisor:
     def stats(self) -> dict[str, object]:
         return {
             "shards": self.n_shards,
-            "mode": "reuse_port" if self.reuse_port else "inherited_socket",
             "port": self._port,
             "pids": self.pids,
             "restarts": {shard.shard_id: shard.restarts

@@ -87,11 +87,8 @@ class PredictionServer:
             back from :attr:`port` after :meth:`start`).
         queue_limit: admission bound; requests beyond it are shed.
         sock: an already-bound listening socket to serve on instead of
-            ``host``/``port`` — the shard supervisor's inherited-socket
-            fallback (every shard accepts from one shared socket).
-        reuse_port: bind with ``SO_REUSEPORT`` so N shard processes
-            can listen on the *same* ``(host, port)`` and the kernel
-            load-balances accepted connections among them.
+            ``host``/``port`` — the shard supervisor's inherited socket
+            (every shard accepts from one shared socket).
         shard_id: this process's position in the shard fleet; stamped
             into :meth:`stats` and per-shard metrics.
     """
@@ -104,7 +101,6 @@ class PredictionServer:
         port: int = 0,
         queue_limit: int = 64,
         sock: socket.socket | None = None,
-        reuse_port: bool = False,
         shard_id: int | None = None,
     ) -> None:
         if queue_limit < 1:
@@ -115,7 +111,6 @@ class PredictionServer:
         self.host = host
         self._requested_port = port
         self._sock = sock
-        self.reuse_port = reuse_port
         self.shard_id = shard_id
         self.queue_limit = queue_limit
         self._connections: set[_Connection] = set()
@@ -139,8 +134,7 @@ class PredictionServer:
         else:
             self._server = await asyncio.start_server(
                 self._serve_connection, self.host, self._requested_port,
-                limit=MAX_FRAME_BYTES + 2,
-                reuse_port=self.reuse_port or None)
+                limit=MAX_FRAME_BYTES + 2)
         self._batch_task = asyncio.create_task(self._batch_loop())
 
     @property

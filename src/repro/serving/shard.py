@@ -3,11 +3,9 @@
 A shard is simply the existing :class:`~repro.serving.server.PredictionServer`
 loop running in its own process, with three fleet hooks:
 
-* **Shared accept** — either the shard binds its own socket with
-  ``SO_REUSEPORT`` on the fleet's common ``(host, port)`` (the kernel
-  then load-balances accepted connections across shards), or it serves
-  on a listening socket inherited from the supervisor (the fallback
-  for platforms without ``SO_REUSEPORT``).
+* **Shared accept** — the shard serves on the listening socket it
+  inherited from the supervisor; every shard accepts from that one
+  socket.
 * **Shared weights** — the engine loads the weight store memory-mapped
   read-only, so all shards' float64 + int8 matrices resolve to the
   same physical pages (:mod:`repro.serving.memory` proves it).
@@ -53,10 +51,7 @@ class ShardSpec:
 
     store_path: str
     shard_id: int
-    host: str = "127.0.0.1"
-    port: int = 0
-    reuse_port: bool = False
-    sock: socket.socket | None = None
+    sock: socket.socket
     static_table: Mapping[str, MicroarchConfig] | None = None
     static_default: MicroarchConfig | None = None
     baseline: MicroarchConfig = field(default=PROFILING_CONFIG)
@@ -91,10 +86,7 @@ async def run_shard(spec: ShardSpec, ready: object | None = None) -> int:
         failure_threshold=spec.failure_threshold,
         cooldown_s=spec.cooldown_s,
         latency_threshold_s=spec.latency_threshold_s,
-        host=spec.host,
-        port=spec.port,
         sock=spec.sock,
-        reuse_port=spec.reuse_port,
         shard_id=spec.shard_id,
     )
     await server.start()

@@ -9,17 +9,10 @@ conservative-degradation contract: anything unresolvable becomes an
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.analysis.module import ModuleInfo
-from repro.analysis.project import (
-    ModuleFacts,
-    Project,
-    extract_facts,
-    module_name_for,
-)
+from repro.analysis.project import Project, extract_facts, module_name_for
 
 # ---------------------------------------------------------------------------
 # fixture mini-package: cycle alpha <-> beta, re-exports, decorators,
@@ -106,14 +99,6 @@ class TestModuleNames:
             == "scripts.bench_lint"
 
 
-class TestFactsSerialization:
-    def test_round_trip_through_json(self, project):
-        for facts in project.modules.values():
-            clone = ModuleFacts.from_dict(
-                json.loads(json.dumps(facts.to_dict())))
-            assert clone == facts
-
-
 class TestResolution:
     def test_plain_function(self, project):
         assert project.resolve_symbol("repro.mini.alpha.ping") \
@@ -179,12 +164,6 @@ class TestCallGraph:
     def test_self_dispatch(self, project):
         assert ("fn", "repro.mini.beta", "Base.name") in edge_targets(
             project, ("repro.mini.beta", "Base.greet"))
-
-    def test_import_graph_is_project_internal(self, project):
-        graph = project.import_graph()
-        assert "repro.mini.beta" in graph["repro.mini.alpha"]
-        assert all(module in project.modules
-                   for imports in graph.values() for module in imports)
 
 
 class TestOffloadEdges:

@@ -674,6 +674,7 @@ class TestSuppressions:
 class TestEngine:
     def test_syntax_error_becomes_diagnostic(self):
         assert ids("def broken(:\n") == ["RPL-E001"]
+        assert ids("def broken(:\n", ignore=["RPL-E001"]) == []
 
     def test_diagnostic_format(self):
         (diag,) = check_source("import random\nx = random.random()\n", SRC)

@@ -2,8 +2,8 @@
 
 Real processes (``spawn``), real sockets, the real supervisor — these
 are the small-scale versions of what ``scripts/serve_drill.py`` and
-``scripts/bench_serve.py --soak`` run at storm scale: kernel- or
-socket-level connection distribution, shard crash + restart, SIGTERM
+``scripts/bench_serve.py --soak`` run at storm scale: one inherited
+listening socket shared by every shard, shard crash + restart, SIGTERM
 drain fan-out with explicit ``shed`` responses, and manifest-watch hot
 reload that is all-or-nothing under corruption.
 """
@@ -22,11 +22,7 @@ from repro.config import TABLE1_PARAMETERS
 from repro.model.predictor import ConfigurationPredictor
 from repro.model.serialize import load_weight_store, save_weight_store
 from repro.serving import PredictResponse
-from repro.serving.frontend import (
-    ShardSupervisor,
-    default_shard_count,
-    reuse_port_supported,
-)
+from repro.serving.frontend import ShardSupervisor, default_shard_count
 
 FEATURE_DIM = 8
 
@@ -116,24 +112,11 @@ def assert_served_matches_offline(supervisor, store_path, features,
 
 
 class TestFleetTopology:
-    @pytest.mark.skipif(not reuse_port_supported(),
-                        reason="SO_REUSEPORT unavailable")
-    def test_reuse_port_fleet_serves_bit_identical_and_drains(
-            self, store, features):
-        supervisor = start_fleet(store, shards=2, reuse_port=True)
-        try:
-            assert supervisor.stats()["mode"] == "reuse_port"
-            assert len(supervisor.pids) == 2
-            assert_served_matches_offline(supervisor, store, features)
-        finally:
-            codes = supervisor.terminate()
-        assert codes == {0: 0, 1: 0}
-
     def test_inherited_socket_fleet_serves_bit_identical(
             self, store, features):
-        supervisor = start_fleet(store, shards=2, reuse_port=False)
+        supervisor = start_fleet(store, shards=2)
         try:
-            assert supervisor.stats()["mode"] == "inherited_socket"
+            assert len(supervisor.pids) == 2
             assert_served_matches_offline(supervisor, store, features)
         finally:
             codes = supervisor.terminate()
