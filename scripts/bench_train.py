@@ -1,37 +1,31 @@
 """Benchmark the fast leave-one-program-out training engine.
 
 Times the serial reference (``leave_one_program_out``: per-fold dataset
-rebuilds, all-ones CG starts) against the fast engine
-(``fast_leave_one_program_out``) in both of its modes on a structured
-synthetic suite, and writes the results to ``BENCH_train.json`` so the
-training-perf trajectory is tracked from PR to PR:
+rebuilds) against the fast engine (``FastCrossValidator``) on a
+structured synthetic suite, and writes the results to
+``BENCH_train.json`` so the training-perf trajectory is tracked from PR
+to PR:
 
-1. **serial** — the seed path, one cold CG fit per (fold, parameter);
-2. **fast/default** — shared good sets + incrementally assembled fold
-   datasets, paper-faithful all-ones initialisation and reference
-   objective.  Gated: predictions must be *identical* to serial (the
-   fold weights are bit-identical by construction);
-3. **fast/warm** — CG warm-started from the all-data model and driven
-   through the row-deduplicated objective.  Converges to the same
-   strictly-convex optimum along a different float trajectory, so its
-   parity is measured (fraction of phases with identical predicted
-   configurations) and reported, not assumed;
-4. **fast/warm cached** — the same run again against the populated fold
+1. **serial** — the reference path, one CG fit per (fold, parameter)
+   from a fresh per-fold dataset;
+2. **fast** — shared good sets + incrementally assembled fold datasets,
+   fold weights written to a fresh ``DataStore``.  Gated: predictions
+   must be *identical* to serial (the fold weights are bit-identical by
+   construction);
+3. **fast cached** — the same run again against the populated fold
    cache, showing the ``DataStore`` memoisation an ablation sweep sees.
+   Gated: it must return the same predictions.
 
 The CG budget is set high enough that fits run to *convergence* (the
-paper specifies no iteration cap), which is where warm starts pay:
-a warm-started fold needs ~2x fewer CG iterations and each iteration is
-several times cheaper through the deduplicated objective.
+paper specifies no iteration cap).
 
 Usage::
 
     PYTHONPATH=src python scripts/bench_train.py           # full scale
     PYTHONPATH=src python scripts/bench_train.py --smoke   # CI-sized
 
-Outside ``--smoke`` the script exits non-zero unless fast/warm is >= 3x
-serial; in every mode it exits non-zero if fast/default predictions
-diverge from serial (fold parity).
+The script exits non-zero if the fast engine's predictions diverge from
+serial (fold parity) or if the cached rerun changes them.
 """
 
 from __future__ import annotations
@@ -51,9 +45,7 @@ from repro.config.parameters import TABLE1_PARAMETERS
 from repro.config.space import DesignSpace
 from repro.experiments.datastore import DataStore
 from repro.model.crossval import PhaseRecord, leave_one_program_out
-from repro.model.fastcv import fast_leave_one_program_out
-
-REQUIRED_SPEEDUP = 3.0
+from repro.model.fastcv import FastCrossValidator
 
 
 def make_records(
@@ -126,35 +118,24 @@ def bench(args: argparse.Namespace) -> dict:
     serial_seconds = time.perf_counter() - t0
     print(f"serial reference: {serial_seconds:.1f}s")
 
-    t0 = time.perf_counter()
-    fast_default = fast_leave_one_program_out(records, **hyper)
-    default_seconds = time.perf_counter() - t0
-    default_parity = parity(serial, fast_default)
-    print(f"fast/default:     {default_seconds:.1f}s "
-          f"({serial_seconds / default_seconds:.2f}x), parity "
-          f"{default_parity['identical_phases']}/"
-          f"{default_parity['total_phases']}")
-
     with tempfile.TemporaryDirectory() as directory:
         store = DataStore(directory)
         t0 = time.perf_counter()
-        fast_warm = fast_leave_one_program_out(
-            records, **hyper, warm_start=True, store=store,
-            workers=args.workers)
-        warm_seconds = time.perf_counter() - t0
-        warm_parity = parity(serial, fast_warm)
-        print(f"fast/warm:        {warm_seconds:.1f}s "
-              f"({serial_seconds / warm_seconds:.2f}x), parity "
-              f"{warm_parity['identical_phases']}/"
-              f"{warm_parity['total_phases']}")
+        fast = FastCrossValidator(records, **hyper, store=store,
+                                  workers=args.workers).run()
+        fast_seconds = time.perf_counter() - t0
+        fast_parity = parity(serial, fast)
+        print(f"fast:             {fast_seconds:.1f}s "
+              f"({serial_seconds / fast_seconds:.2f}x), parity "
+              f"{fast_parity['identical_phases']}/"
+              f"{fast_parity['total_phases']}")
 
         t0 = time.perf_counter()
-        fast_cached = fast_leave_one_program_out(
-            records, **hyper, warm_start=True, store=store,
-            workers=args.workers)
+        fast_cached = FastCrossValidator(records, **hyper, store=store,
+                                         workers=args.workers).run()
         cached_seconds = time.perf_counter() - t0
-        cached_ok = fast_cached == fast_warm
-        print(f"fast/warm cached: {cached_seconds:.2f}s "
+        cached_ok = fast_cached == fast
+        print(f"fast cached:      {cached_seconds:.2f}s "
               f"(fold weights reused: {cached_ok})")
 
     return {
@@ -169,18 +150,10 @@ def bench(args: argparse.Namespace) -> dict:
         },
         "workers": args.workers,
         "serial_seconds": serial_seconds,
-        "fast_default_seconds": default_seconds,
-        "fast_warm_seconds": warm_seconds,
-        "fast_warm_cached_seconds": cached_seconds,
-        "speedup_default": serial_seconds / default_seconds,
-        "speedup_warm": serial_seconds / warm_seconds,
-        "speedup": serial_seconds / warm_seconds,
-        "default_parity": default_parity,
-        "warm_parity": {
-            **warm_parity,
-            "fraction": (warm_parity["identical_phases"]
-                         / warm_parity["total_phases"]),
-        },
+        "fast_seconds": fast_seconds,
+        "fast_cached_seconds": cached_seconds,
+        "speedup": serial_seconds / fast_seconds,
+        "parity": fast_parity,
         "cached_rerun_matches": cached_ok,
     }
 
@@ -208,8 +181,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="fold fan-out processes for the fast engine")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--smoke", action="store_true",
-                        help="CI mode: small sizes, no speedup gate "
-                             "(fold parity is still enforced)")
+                        help="CI mode: small sizes (both gates still "
+                             "enforced)")
     parser.add_argument("--output", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         / "BENCH_train.json")
@@ -239,16 +212,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {paths['trace']} (open in https://ui.perfetto.dev)")
 
     failures = []
-    if not results["default_parity"]["exact"]:
+    if not results["parity"]["exact"]:
         failures.append(
-            "fold-parity divergence: fast/default predictions differ from "
-            "the serial reference (expected bit-identical fold weights)")
+            "fold-parity divergence: fast predictions differ from the "
+            "serial reference (expected bit-identical fold weights)")
     if not results["cached_rerun_matches"]:
         failures.append("cached fold-weight rerun changed the predictions")
-    if not args.smoke and results["speedup_warm"] < REQUIRED_SPEEDUP:
-        failures.append(
-            f"fast/warm speedup {results['speedup_warm']:.2f}x "
-            f"< {REQUIRED_SPEEDUP}x")
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -18,7 +18,6 @@ for key in pipe.phase_keys:
     pipe.store.put(cache_key, data)
     migrated += 1
 for fs in ("advanced", "basic"):
-    for mode in ("ones", "warm"):
-        pipe.store.delete(pipe._prediction_key(fs, mode))
+    pipe.store.delete(pipe._prediction_key(fs))
 pipe.store.delete(pipe._full_predictor_key("advanced"))
 print(f"migrated {migrated} phase entries in {time.time()-t0:.0f}s")

@@ -131,10 +131,8 @@ class ExperimentPipeline:
         if workers is None:
             workers = int(os.environ.get("REPRO_WORKERS", "1"))
         self.workers = max(1, workers)
-        if train_workers is None:
-            train_workers = int(
-                os.environ.get("REPRO_TRAIN_WORKERS", str(self.workers)))
-        self.train_workers = max(1, train_workers)
+        self.train_workers = (self.workers if train_workers is None
+                              else max(1, train_workers))
         self.evaluator = BatchIntervalEvaluator()
         self._extra_evaluations: dict[PhaseKey, dict[MicroarchConfig,
                                                      EfficiencyResult]] = {}
@@ -220,13 +218,21 @@ class ExperimentPipeline:
             self.scale.tag, "dse-screen", self.dse.fingerprint(),
             self.dse_pool.digest()[:12], program, phase_id)
 
-    def _prediction_key(self, feature_set: str, mode: str) -> str:
-        return self.store.versioned_key(self.scale.tag, "predictions",
-                                        feature_set, mode)
+    def _model_key(self, kind: str, feature_set: str) -> str:
+        """Cache key for a trained-model product: the scale tag plus the
+        training hyper-parameters and the DSE settings, which the tag
+        leaves out but every prediction depends on."""
+        scale = self.scale
+        dse = "dse-off" if self.dse is None else self.dse.fingerprint()
+        return self.store.versioned_key(
+            scale.tag, kind, feature_set, scale.threshold,
+            scale.regularization, scale.max_iterations, dse)
+
+    def _prediction_key(self, feature_set: str) -> str:
+        return self._model_key("predictions", feature_set)
 
     def _full_predictor_key(self, feature_set: str) -> str:
-        return self.store.versioned_key(self.scale.tag, "full-predictor",
-                                        feature_set)
+        return self._model_key("full-predictor", feature_set)
 
     def phase_data(self, program: str, phase_id: int) -> PhaseData:
         key = self._phase_cache_key(program, phase_id)
@@ -442,49 +448,43 @@ class ExperimentPipeline:
             for data in self.all_phase_data.values()
         ]
 
-    def predictions(self, feature_set: str = "advanced",
-                    warm_start: bool = False) -> dict[PhaseKey,
-                                                      MicroarchConfig]:
+    def predictions(self, feature_set: str = "advanced"
+                    ) -> dict[PhaseKey, MicroarchConfig]:
         """Leave-one-program-out predictions for every phase (cached).
 
         Cross-validation runs through the fast engine
-        (:func:`~repro.model.fastcv.fast_leave_one_program_out`): good
-        sets and parameter datasets are assembled once, the 364
-        (fold, parameter) fits fan out over ``train_workers`` processes
-        (``REPRO_TRAIN_WORKERS``), and each trained fold's weights are
+        (:class:`~repro.model.fastcv.FastCrossValidator`): good sets and
+        parameter datasets are assembled once, the 364 (fold, parameter)
+        fits fan out over ``train_workers`` processes (default: the
+        pipeline's ``workers``), and each trained fold's weights are
         memoised in the store — so an interrupted or repeated sweep
-        retrains only what is missing.  The default mode's predictions
-        are bit-identical to the serial reference
-        (:func:`~repro.model.crossval.leave_one_program_out`);
-        ``warm_start=True`` opts into the accelerated warm-started mode
-        (cached under its own key).
+        retrains only what is missing.  The predictions are
+        bit-identical to the serial reference
+        (:func:`~repro.model.crossval.leave_one_program_out`).
         """
         if feature_set not in FEATURE_EXTRACTORS:
             raise KeyError(f"unknown feature set {feature_set!r}")
-        mode = "warm" if warm_start else "ones"
-        key = self._prediction_key(feature_set, mode)
+        key = self._prediction_key(feature_set)
 
         # Imported here: fastcv sits above the experiments package (it
         # reuses DataStore/PhaseRunner), so a module-level import would
         # be circular through repro.model.__init__.
-        from repro.model.fastcv import fast_leave_one_program_out
+        from repro.model.fastcv import FastCrossValidator
 
         def compute() -> dict[PhaseKey, MicroarchConfig]:
             self._log(f"leave-one-out cross-validation ({feature_set})")
-            with obs.span("cv.predictions", feature_set=feature_set,
-                          mode=mode):
-                return fast_leave_one_program_out(
+            with obs.span("cv.predictions", feature_set=feature_set):
+                return FastCrossValidator(
                     self.phase_records(feature_set),
                     regularization=self.scale.regularization,
                     threshold=self.scale.threshold,
                     max_iterations=self.scale.max_iterations,
-                    warm_start=warm_start,
                     workers=self.train_workers,
                     store=self.store,
                     cache_tag=f"{self.scale.tag}/{feature_set}",
                     journal=self.journal,
                     log=self._log,
-                )
+                ).run()
 
         return self.store.get_or_compute(key, compute)
 

@@ -324,24 +324,34 @@ class PhaseRunner:
             while waiting or in_flight:
                 now = time.monotonic()
                 waiting.sort(key=lambda item: item[0])
+                broken = False
                 # Keep at most `workers` items in flight: anything
                 # submitted is (nearly) immediately running, so a pool
                 # break charges failures only to plausibly-guilty items.
                 while (waiting and waiting[0][0] <= now
                        and len(in_flight) < self.workers):
                     _, key = waiting.pop(0)
+                    try:
+                        future = executor.submit(self.worker_task, key)
+                    except BrokenProcessPool:
+                        # The pool broke after the last wait: this item
+                        # never ran, so it is requeued without charging
+                        # an attempt and the pool is rebuilt below.
+                        waiting.append((0.0, key))
+                        broken = True
+                        break
                     self._attempts[key] += 1
                     self._record(key, "attempt", attempt=self._attempts[key],
                                  mode="pool")
                     deadline = now + self.timeout if self.timeout else None
-                    future = executor.submit(self.worker_task, key)
                     in_flight[future] = _Flight(key, now, deadline)
-                if not in_flight:
+                if not in_flight and not broken:
                     # Everything is backing off: sleep to the next item.
                     self._sleep(max(0.0, waiting[0][0] - time.monotonic()))
                     continue
-                done = self._await_progress(in_flight, waiting)
-                broken = False
+                done = ({future for future in in_flight if future.done()}
+                        if broken
+                        else self._await_progress(in_flight, waiting))
                 for future in done:
                     flight = in_flight.pop(future)
                     try:

@@ -1,7 +1,7 @@
 """The predictive model: soft-max per parameter, CG training, LOO CV."""
 
 from repro.model.crossval import PhaseRecord, leave_one_program_out
-from repro.model.fastcv import FastCrossValidator, fast_leave_one_program_out
+from repro.model.fastcv import FastCrossValidator
 from repro.model.quantize import QuantizedPredictor
 from repro.model.serialize import (
     WeightStore,
@@ -12,7 +12,7 @@ from repro.model.serialize import (
 )
 from repro.model.optimizer import CGResult, minimize_cg
 from repro.model.predictor import ConfigurationPredictor
-from repro.model.softmax import RowCompression, SoftmaxClassifier
+from repro.model.softmax import SoftmaxClassifier
 from repro.model.training import (
     GOOD_THRESHOLD,
     TrainingSet,
@@ -28,13 +28,11 @@ __all__ = [
     "GOOD_THRESHOLD",
     "PhaseRecord",
     "QuantizedPredictor",
-    "RowCompression",
     "SoftmaxClassifier",
     "TrainingSet",
     "WeightStore",
     "build_full_datasets",
     "build_parameter_dataset",
-    "fast_leave_one_program_out",
     "good_configurations",
     "leave_one_program_out",
     "load_predictor",

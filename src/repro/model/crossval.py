@@ -62,9 +62,9 @@ def leave_one_program_out(
 
     This is the straightforward reference implementation: folds run
     serially and each fold re-selects good sets and re-builds every
-    parameter dataset from scratch.  Production sweeps should use
-    :func:`repro.model.fastcv.fast_leave_one_program_out`, which
-    produces identical predictions from shared, incrementally assembled
+    parameter dataset from scratch.  Production sweeps use
+    :class:`repro.model.fastcv.FastCrossValidator`, which produces
+    identical predictions from shared, incrementally assembled
     training material.
 
     Returns:

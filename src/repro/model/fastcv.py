@@ -19,17 +19,14 @@ changing the answers:
   journalling; shared training material travels to the workers through
   the :class:`~repro.experiments.datastore.DataStore` once per process;
 * **fold-weight memoisation** — trained weight matrices are cached under
-  a content fingerprint (features + good sets + hyper-parameters +
-  mode), so ablation sweeps that revisit a fold reuse its fit and an
-  interrupted sweep resumes where it stopped;
-* **warm starts** (opt-in ``warm_start=True``) — each fold's CG starts
-  from the all-data model's weights and trains through the
-  row-deduplicated objective.  The default stays paper-faithful: all-ones
-  initialisation and the reference objective, which makes the default
-  mode's optimisation trajectories — and therefore its predictions —
-  bit-identical to the serial reference.  Warm mode converges to the
-  same (strictly convex) optimum but along a different trajectory; its
-  parity is statistical, measured and gated by ``scripts/bench_train.py``.
+  a content fingerprint (features + good sets + hyper-parameters), so
+  ablation sweeps that revisit a fold reuse its fit and an interrupted
+  sweep resumes where it stopped.
+
+Every fit is the paper's: all-ones initialisation and conjugate gradients
+on the reference objective, so each fold's optimisation trajectory — and
+therefore every prediction — is bit-identical to the serial reference
+(gated by ``scripts/bench_train.py``).
 
 Held-out programs are scored with
 :meth:`~repro.model.predictor.ConfigurationPredictor.predict_batch`: one
@@ -50,7 +47,7 @@ from repro.config.configuration import MicroarchConfig
 from repro.config.parameters import TABLE1_PARAMETERS, Parameter
 from repro.experiments.datastore import DataStore
 from repro.experiments.journal import RunJournal
-from repro.experiments.runner import PhaseRunner, RetryPolicy
+from repro.experiments.runner import PhaseRunner
 from repro.model.crossval import PhaseRecord
 from repro.model.predictor import ConfigurationPredictor
 from repro.model.softmax import SoftmaxClassifier
@@ -60,7 +57,7 @@ from repro.model.training import (
     good_configurations,
 )
 
-__all__ = ["FastCrossValidator", "fast_leave_one_program_out"]
+__all__ = ["FastCrossValidator"]
 
 #: One unit of fan-out work: (held-out program, parameter name).
 FoldKey = tuple[str, str]
@@ -81,8 +78,6 @@ class _FoldMaterial:
     max_iterations: int
     datasets: dict[str, TrainingSet]
     program_of_phase: tuple[str, ...]
-    initial: dict[str, np.ndarray] | None
-    compressed: bool
 
 
 # -- cache keys (RPL-C001: all built through DataStore.versioned_key) -------
@@ -96,10 +91,6 @@ def _fold_key(store: DataStore, fingerprint: str, held_out: str,
               parameter_name: str) -> str:
     return store.versioned_key("fastcv", "fold", fingerprint, held_out,
                                parameter_name)
-
-
-def _warm_init_key(store: DataStore, fingerprint: str) -> str:
-    return store.versioned_key("fastcv", "warm-init", fingerprint)
 
 
 # -- worker side ------------------------------------------------------------
@@ -133,8 +124,7 @@ def _train_fold(material: _FoldMaterial, held_out: str,
 
     The fold's training set is the full-suite dataset restricted to the
     phases of every program but ``held_out`` — bit-identical to the
-    arrays a from-scratch per-fold build would produce, so with the
-    default all-ones initialisation and reference objective the CG
+    arrays a from-scratch per-fold build would produce, so the CG
     trajectory (and the returned weights) match the serial reference
     exactly.
     """
@@ -149,12 +139,7 @@ def _train_fold(material: _FoldMaterial, held_out: str,
             regularization=material.regularization,
             max_iterations=material.max_iterations,
         )
-        classifier.fit(
-            fold.x, fold.labels, sample_weight=fold.weights,
-            initial_weights=(None if material.initial is None
-                             else material.initial[parameter_name]),
-            compression=fold.compression() if material.compressed else None,
-        )
+        classifier.fit(fold.x, fold.labels, sample_weight=fold.weights)
         weights = classifier.weights
         assert weights is not None
         obs.inc("cv.folds_trained")
@@ -194,23 +179,17 @@ class FastCrossValidator:
         regularization: lambda of eq. 6 (paper: 0.5).
         threshold: good-configuration slack (paper: 0.05).
         max_iterations: CG budget per parameter model.
-        warm_start: start each fold's CG from the all-data model's
-            weights and train through the row-deduplicated objective.
-            Off by default: the paper-faithful all-ones initialisation
-            plus the reference objective reproduce the serial reference's
-            weights bit for bit.
         workers: process count for the fold fan-out; ``<= 1`` trains
             in-process.  More than one worker requires a ``store`` (fold
             results travel through it).
         store: optional :class:`DataStore`; when given, trained fold
-            weights (and the warm-start model) are memoised under a
-            content fingerprint, so repeated runs and ablation sweeps
-            that revisit a fold reuse its fit.
+            weights are memoised under a content fingerprint, so repeated
+            runs and ablation sweeps that revisit a fold reuse its fit.
         cache_tag: extra fingerprint component (e.g. the scale tag) to
             keep cache entries from different experiment scales apart.
-        journal: optional run journal for the fan-out's attempt log.
-        policy: retry budget/backoff for the fan-out.
-        timeout: per-fit seconds for the fan-out.
+        journal: optional run journal for the fan-out's attempt log;
+            the fan-out's retry budget and per-fit timeout come from
+            ``REPRO_MAX_RETRIES`` and ``REPRO_PHASE_TIMEOUT``.
         log: optional progress sink (e.g. ``print``).
     """
 
@@ -222,13 +201,10 @@ class FastCrossValidator:
         threshold: float = 0.05,
         max_iterations: int = 200,
         *,
-        warm_start: bool = False,
         workers: int | None = None,
         store: DataStore | None = None,
         cache_tag: str = "",
         journal: RunJournal | None = None,
-        policy: RetryPolicy | None = None,
-        timeout: float | None = None,
         log: Callable[[str], None] | None = None,
     ) -> None:
         if not records:
@@ -238,13 +214,10 @@ class FastCrossValidator:
         self.regularization = regularization
         self.threshold = threshold
         self.max_iterations = max_iterations
-        self.warm_start = warm_start
         self.workers = 1 if workers is None else max(1, workers)
         self.store = store
         self.cache_tag = cache_tag
         self.journal = journal
-        self.policy = policy
-        self.timeout = timeout
         self._log: Callable[[str], None] = log or (lambda message: None)
         self.programs = sorted({record.program for record in self.records})
         if len(self.programs) < 2:
@@ -276,16 +249,13 @@ class FastCrossValidator:
         """Content hash of everything a fold fit depends on.
 
         Covers the training inputs (features and good sets), the
-        hyper-parameters, the parameter list, and the training mode —
-        so cached fold weights are reused exactly when they would be
-        recomputed identically, and a warm-started fit can never be
-        served where a paper-faithful one was requested.
+        hyper-parameters, the parameter list and the cache tag, so
+        cached fold weights are reused exactly when they would be
+        recomputed identically.
         """
         digest = hashlib.sha256()
-        mode = "warm" if self.warm_start else "ones"
         digest.update(repr((self.regularization, self.threshold,
-                            self.max_iterations, mode,
-                            self.cache_tag)).encode())
+                            self.max_iterations, self.cache_tag)).encode())
         for parameter in self.parameters:
             digest.update(parameter.name.encode())
         for record, goods in zip(self.records, self.good_sets):
@@ -301,29 +271,6 @@ class FastCrossValidator:
         return digest.hexdigest()[:32]
 
     @cached_property
-    def initial(self) -> dict[str, np.ndarray] | None:
-        """Warm-start weights: the all-data model, trained (and cached)
-        once; ``None`` in the default all-ones mode."""
-        if not self.warm_start:
-            return None
-        if self.store is not None:
-            return self.store.get_or_compute(
-                _warm_init_key(self.store, self.fingerprint),
-                self._train_all_data,
-            )
-        return self._train_all_data()
-
-    def _train_all_data(self) -> dict[str, np.ndarray]:
-        self._log("training all-data warm-start model")
-        predictor = ConfigurationPredictor(
-            parameters=self.parameters,
-            regularization=self.regularization,
-            max_iterations=self.max_iterations,
-        )
-        predictor.fit(datasets=self.datasets, compressed=True)
-        return predictor.weights_state()
-
-    @cached_property
     def material(self) -> _FoldMaterial:
         return _FoldMaterial(
             regularization=self.regularization,
@@ -331,8 +278,6 @@ class FastCrossValidator:
             datasets=self.datasets,
             program_of_phase=tuple(record.program
                                    for record in self.records),
-            initial=self.initial,
-            compressed=self.warm_start,
         )
 
     # -- training -----------------------------------------------------------
@@ -384,8 +329,6 @@ class FastCrossValidator:
         runner = PhaseRunner(
             partial(_fold_worker_task, store_dir, self.fingerprint),
             workers=workers,
-            policy=self.policy,
-            timeout=self.timeout,
             journal=self.journal,
             verify=self._fold_cached,
             invalidate=self._invalidate_fold,
@@ -433,42 +376,3 @@ class FastCrossValidator:
                 predictions[self.records[row].key] = config
         return predictions
 
-
-def fast_leave_one_program_out(
-    records: Sequence[PhaseRecord],
-    parameters: tuple[Parameter, ...] = TABLE1_PARAMETERS,
-    regularization: float = 0.5,
-    threshold: float = 0.05,
-    max_iterations: int = 200,
-    *,
-    warm_start: bool = False,
-    workers: int | None = None,
-    store: DataStore | None = None,
-    cache_tag: str = "",
-    journal: RunJournal | None = None,
-    policy: RetryPolicy | None = None,
-    timeout: float | None = None,
-    log: Callable[[str], None] | None = None,
-) -> dict[PhaseKey, MicroarchConfig]:
-    """Drop-in fast replacement for
-    :func:`~repro.model.crossval.leave_one_program_out`.
-
-    Identical signature and return value for the shared leading
-    arguments; the keyword-only extras opt into warm starts, the fold
-    fan-out, and fold-weight caching (see :class:`FastCrossValidator`).
-    """
-    return FastCrossValidator(
-        records,
-        parameters=parameters,
-        regularization=regularization,
-        threshold=threshold,
-        max_iterations=max_iterations,
-        warm_start=warm_start,
-        workers=workers,
-        store=store,
-        cache_tag=cache_tag,
-        journal=journal,
-        policy=policy,
-        timeout=timeout,
-        log=log,
-    ).run()

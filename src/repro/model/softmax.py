@@ -20,68 +20,18 @@ of ``W^T x`` needs no exponentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from repro import obs
-from repro.model.optimizer import CGResult, minimize_cg
+from repro.model.optimizer import minimize_cg
 
-__all__ = ["SoftmaxClassifier", "RowCompression"]
+__all__ = ["SoftmaxClassifier"]
 
 
 def _log_softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-@dataclass(frozen=True)
-class RowCompression:
-    """Row-deduplication structure for a training matrix.
-
-    Training matrices assembled from good-configuration sets repeat each
-    phase's counter vector once per distinct label (section IV-D), so the
-    ``N x D`` feature matrix typically holds only ``U << N`` distinct
-    rows, in contiguous groups.  The compressed objective evaluates the
-    row-wise soft-max terms once per distinct row and aggregates the
-    gradient per group — mathematically exact (the per-row terms are
-    identical for identical rows), but a different floating-point
-    summation order than the reference objective, so it is reserved for
-    the accelerated (non-bit-faithful) training modes.
-
-    Attributes:
-        unique_x: the ``U x D`` matrix of distinct rows, in group order.
-        inverse: length-``N`` map from original row to its group.
-        starts: ``U + 1`` group start offsets into the original rows.
-    """
-
-    unique_x: np.ndarray
-    inverse: np.ndarray
-    starts: np.ndarray
-
-    @classmethod
-    def from_grouped(cls, x: np.ndarray,
-                     group_ids: np.ndarray) -> "RowCompression":
-        """Build from a matrix whose identical rows form contiguous
-        groups identified by a non-decreasing ``group_ids`` array."""
-        group_ids = np.asarray(group_ids, dtype=np.int64)
-        if len(group_ids) != len(x):
-            raise ValueError("group_ids must align with the rows of x")
-        if len(group_ids) == 0:
-            raise ValueError("cannot compress an empty matrix")
-        if np.any(np.diff(group_ids) < 0):
-            raise ValueError("group_ids must be non-decreasing")
-        is_first = np.concatenate(([True], group_ids[1:] != group_ids[:-1]))
-        firsts = np.flatnonzero(is_first)
-        return cls(
-            unique_x=np.ascontiguousarray(x[firsts], dtype=np.float64),
-            inverse=np.cumsum(is_first, dtype=np.int64) - 1,
-            starts=np.append(firsts, len(group_ids)).astype(np.int64),
-        )
-
-    @property
-    def n_unique(self) -> int:
-        return len(self.unique_x)
 
 
 @dataclass
@@ -98,7 +48,6 @@ class SoftmaxClassifier:
     regularization: float = 0.5
     max_iterations: int = 300
     weights: np.ndarray | None = field(default=None, repr=False)
-    training_result: CGResult | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_classes < 2:
@@ -138,68 +87,17 @@ class SoftmaxClassifier:
         grad = grad_ll - 2.0 * self.regularization * weights
         return -objective, -grad
 
-    def compressed_objective(
-        self,
-        compression: RowCompression,
-        labels: np.ndarray,
-        sample_weight: np.ndarray | None = None,
-    ) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-        """A row-deduplicated evaluator of :meth:`negative_objective`.
-
-        The returned callable ``objective(weights)`` computes the same
-        mathematical value and gradient as :meth:`negative_objective` on
-        the expanded matrix, but evaluates the soft-max terms once per
-        distinct row and aggregates the gradient per row group — several
-        times cheaper when rows repeat (one phase contributes one copy of
-        its counter vector per distinct label).  The floating-point
-        summation order differs from the reference, so this evaluator is
-        for the accelerated training modes, not the bit-faithful default.
-        """
-        n = len(labels)
-        inverse = compression.inverse
-        unique_x = compression.unique_x
-        unique_xt = unique_x.T
-        starts = compression.starts[:-1]
-        rows = np.arange(n)
-        weight = np.ones(n) if sample_weight is None else np.asarray(
-            sample_weight, dtype=np.float64)
-        weight_col = weight[:, None]
-
-        def objective(weights: np.ndarray) -> tuple[float, np.ndarray]:
-            scores = unique_x @ weights
-            log_probs = _log_softmax(scores)
-            picked = log_probs[inverse, labels]
-            log_likelihood = float(np.dot(weight, picked))
-            penalty = self.regularization * float(np.sum(weights * weights))
-            probs = np.exp(log_probs)
-            error = probs[inverse] * -weight_col
-            error[rows, labels] += weight
-            grouped = np.add.reduceat(error, starts, axis=0)
-            grad = unique_xt @ grouped
-            grad -= 2.0 * self.regularization * weights
-            return -(log_likelihood - penalty), -grad
-
-        return objective
-
     def fit(
         self,
         x: np.ndarray,
         labels: np.ndarray,
         sample_weight: np.ndarray | None = None,
-        *,
-        initial_weights: np.ndarray | None = None,
-        compression: RowCompression | None = None,
     ) -> "SoftmaxClassifier":
         """Train on features ``x`` (N x D) and integer ``labels``.
 
         Weights start at the paper's deterministic all-ones initialisation
-        unless ``initial_weights`` (a D x K matrix or its raveled form) is
-        supplied — e.g. to warm-start a cross-validation fold from the
-        all-data model.  ``compression`` switches the conjugate-gradient
-        objective to the row-deduplicated evaluator (see
-        :meth:`compressed_objective`); the default evaluates the
-        reference :meth:`negative_objective`, keeping the optimisation
-        trajectory bit-identical run to run.
+        and conjugate gradients minimise :meth:`negative_objective`, so
+        the optimisation trajectory is bit-identical run to run.
         """
         x = np.asarray(x, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
@@ -214,38 +112,19 @@ class SoftmaxClassifier:
         d = x.shape[1]
         shape = (d, self.n_classes)
 
-        if compression is None:
-            def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
-                value, grad = self.negative_objective(
-                    flat.reshape(shape), x, labels, sample_weight
-                )
-                return value, grad.ravel()
-        else:
-            if len(compression.inverse) != len(labels):
-                raise ValueError("compression must align with the rows of x")
-            evaluate = self.compressed_objective(
-                compression, labels, sample_weight)
+        def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
+            value, grad = self.negative_objective(
+                flat.reshape(shape), x, labels, sample_weight
+            )
+            return value, grad.ravel()
 
-            def objective(flat: np.ndarray) -> tuple[float, np.ndarray]:
-                value, grad = evaluate(flat.reshape(shape))
-                return value, grad.ravel()
-
-        if initial_weights is None:
-            x0 = np.ones(d * self.n_classes)
-        else:
-            x0 = np.asarray(initial_weights, dtype=np.float64).ravel()
-            if x0.size != d * self.n_classes:
-                raise ValueError(
-                    f"initial weights have {x0.size} entries, expected "
-                    f"{d * self.n_classes}")
         result = minimize_cg(
             objective,
-            x0,
+            np.ones(d * self.n_classes),
             max_iterations=self.max_iterations,
             callback=obs.cg_callback(),
         )
         self.weights = result.x.reshape(shape)
-        self.training_result = result
         return self
 
     # -- inference ------------------------------------------------------------

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.config.configuration import MicroarchConfig
 from repro.config.parameters import Parameter
-from repro.model.softmax import RowCompression
 
 __all__ = [
     "good_configurations",
@@ -104,17 +103,6 @@ class TrainingSet:
             weights=self.weights[keep_rows],
             phase_ids=tuple(int(i) for i in local[phase_ids[keep_rows]]),
         )
-
-    def compression(self) -> RowCompression:
-        """Row-deduplication structure keyed by the contributing phase.
-
-        Rows from the same phase share one counter vector (they differ
-        only in label), and :func:`build_parameter_dataset` emits them
-        contiguously — so grouping by ``phase_ids`` captures every
-        duplicate row without comparing row contents.
-        """
-        return RowCompression.from_grouped(
-            self.x, np.asarray(self.phase_ids, dtype=np.int64))
 
 
 def build_parameter_dataset(

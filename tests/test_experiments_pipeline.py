@@ -110,6 +110,58 @@ class TestPipeline:
         assert isinstance(predictor.predict(features), MicroarchConfig)
 
 
+#: One change per input the trained-model cache keys must cover.
+MODEL_KEY_INPUTS = {
+    "threshold": {"threshold": 0.1},
+    "regularization": {"regularization": 0.25},
+    "max_iterations": {"max_iterations": 41},
+    "dse": {},
+}
+
+
+class TestModelCacheKeys:
+    """Prediction and full-predictor entries are keyed on every input
+    that changes them, not only on the scale tag."""
+
+    @pytest.mark.parametrize("field", sorted(MODEL_KEY_INPUTS))
+    def test_keys_cover_each_input(self, field, tmp_path):
+        from repro.dse import DseSettings
+        from repro.experiments import DataStore, ExperimentPipeline
+        store = DataStore(tmp_path)
+        scale = ReproScale.quick()
+        base = ExperimentPipeline(scale, store=store)
+        changed = ExperimentPipeline(
+            scale.with_(**MODEL_KEY_INPUTS[field]), store=store,
+            dse=DseSettings(pool_size=2000) if field == "dse" else None)
+        assert changed.scale.tag == base.scale.tag
+        for feature_set in ("advanced", "basic"):
+            assert (changed._prediction_key(feature_set)
+                    != base._prediction_key(feature_set))
+            assert (changed._full_predictor_key(feature_set)
+                    != base._full_predictor_key(feature_set))
+        if field != "dse":  # phase data does not depend on the model
+            assert (changed._phase_cache_key("mcf", 0)
+                    == base._phase_cache_key("mcf", 0))
+
+    def test_changed_regularization_is_a_store_miss(self, quick_pipeline,
+                                                    tmp_path):
+        """A run with another lambda retrains instead of being served the
+        predictions cached under the same scale tag."""
+        from repro.experiments import DataStore, ExperimentPipeline
+        store = DataStore(tmp_path)
+        for key in quick_pipeline.phase_keys:  # share the phase data only
+            store.put(quick_pipeline._phase_cache_key(*key),
+                      quick_pipeline.phase_data(*key))
+        scale = quick_pipeline.scale
+        first = ExperimentPipeline(scale, store=store).predictions()
+        misses = store.misses
+        again = ExperimentPipeline(scale, store=store).predictions()
+        assert again == first and store.misses == misses
+        ExperimentPipeline(scale.with_(regularization=0.25),
+                           store=store).predictions()
+        assert store.misses > misses
+
+
 class TestPrefetch:
     """Process fan-out: workers write through the store, parent re-reads."""
 

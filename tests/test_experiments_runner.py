@@ -317,6 +317,40 @@ class TestPhaseRunnerPool:
         assert outcomes["ok-2"].status == "computed"
         assert journal.quarantined() == ["poison"]
 
+    def test_pool_broken_at_submit_requeues_and_rebuilds(self, journal):
+        """A pool can break between the last wait and the next submit:
+        ``submit`` itself then raises ``BrokenProcessPool``.  The item
+        never ran, so it is requeued uncharged and the pool rebuilt."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        submits = []
+
+        class InlineExecutor:
+            """Runs tasks in-process; the third submit finds it broken."""
+
+            def submit(self, fn, key):
+                submits.append(key)
+                if len(submits) == 3:
+                    raise BrokenProcessPool("a worker died")
+                future = Future()
+                future.set_result(fn(key))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        runner = PhaseRunner(fault_prone_task, workers=2, journal=journal,
+                             policy=fast_policy(), sleep=lambda s: None)
+        runner._new_executor = lambda remaining: InlineExecutor()
+        outcomes = runner.run(["a", "b", "c"])
+        assert all(o.status == "computed" for o in outcomes.values())
+        assert submits == ["a", "b", "c", "c"]
+        assert journal.attempts("c") == 1
+        summary = journal.summary()
+        assert summary["pool_rebuilds"] == 1
+        assert summary["failures"] == 0
+
     def test_env_timeout_used_when_not_passed(self, monkeypatch):
         monkeypatch.setenv("REPRO_PHASE_TIMEOUT", "12.5")
         runner = PhaseRunner(fault_prone_task, workers=2)

@@ -5,12 +5,7 @@ import pytest
 
 from repro.config import DesignSpace, TABLE1_PARAMETERS
 from repro.experiments.datastore import DataStore
-from repro.model import (
-    FastCrossValidator,
-    PhaseRecord,
-    fast_leave_one_program_out,
-    leave_one_program_out,
-)
+from repro.model import FastCrossValidator, PhaseRecord, leave_one_program_out
 
 
 def records_for(programs, phases_per_program=3, seed=0):
@@ -34,8 +29,7 @@ def records_for(programs, phases_per_program=3, seed=0):
 def structured_records(n_programs=6, phases_per_program=4, n_features=8,
                        pool_size=40, seed=0):
     """A suite whose ideal configuration is a shared function of the
-    features, so leave-one-out folds genuinely generalise — the shape on
-    which warm-started and cold fits agree at convergence."""
+    features, so leave-one-out folds genuinely generalise."""
     rng = np.random.default_rng(seed)
     pool = DesignSpace(seed=seed + 1).random_sample(pool_size)
     parameters = TABLE1_PARAMETERS
@@ -64,27 +58,50 @@ def structured_records(n_programs=6, phases_per_program=4, n_features=8,
     return records
 
 
+def _shift_feature(records):
+    records[0].features = records[0].features + np.array([0.25, 0.0])
+
+
+def _grow_good_set(records):
+    evaluations = records[0].evaluations
+    runner_up = next(config for config, value in evaluations.items()
+                     if value < 100.0)
+    evaluations[runner_up] = 100.0
+
+
+#: One change per fingerprinted input: (constructor overrides, record
+#: mutation).
+PERTURBATIONS = {
+    "regularization": ({"regularization": 0.25}, None),
+    "threshold": ({"threshold": 0.1}, None),
+    "max_iterations": ({"max_iterations": 31}, None),
+    "cache_tag": ({"cache_tag": "quick"}, None),
+    "parameters": ({"parameters": TABLE1_PARAMETERS[:-1]}, None),
+    "feature_value": ({}, _shift_feature),
+    "good_set": ({}, _grow_good_set),
+}
+
+
 class TestDefaultModeParity:
     def test_identical_to_serial_reference(self):
         """The headline contract: incremental assembly changes nothing."""
         records = records_for(["a", "b", "c", "d"], phases_per_program=4)
         serial = leave_one_program_out(records, max_iterations=40)
-        fast = fast_leave_one_program_out(records, max_iterations=40)
+        fast = FastCrossValidator(records, max_iterations=40).run()
         assert fast == serial
 
     def test_identical_on_structured_suite(self):
         records = structured_records(n_programs=4, phases_per_program=3)
         serial = leave_one_program_out(records, max_iterations=60)
-        fast = fast_leave_one_program_out(records, max_iterations=60)
+        fast = FastCrossValidator(records, max_iterations=60).run()
         assert fast == serial
 
     def test_workers_parity(self, tmp_path):
         """The fold fan-out lands on the same predictions as serial."""
         records = records_for(["a", "b", "c"], phases_per_program=3)
         serial = leave_one_program_out(records, max_iterations=30)
-        fast = fast_leave_one_program_out(
-            records, max_iterations=30, workers=2,
-            store=DataStore(tmp_path))
+        fast = FastCrossValidator(records, max_iterations=30, workers=2,
+                                  store=DataStore(tmp_path)).run()
         assert fast == serial
 
 
@@ -92,33 +109,34 @@ class TestFoldCaching:
     def test_second_run_reuses_fold_weights(self, tmp_path):
         records = records_for(["a", "b", "c"], phases_per_program=2)
         store = DataStore(tmp_path)
-        first = fast_leave_one_program_out(records, max_iterations=30,
-                                           store=store)
+        first = FastCrossValidator(records, max_iterations=30,
+                                   store=store).run()
         misses = store.misses
         assert misses > 0
         hits_before = store.hits
-        second = fast_leave_one_program_out(records, max_iterations=30,
-                                            store=store)
+        second = FastCrossValidator(records, max_iterations=30,
+                                    store=store).run()
         assert second == first
         assert store.misses == misses  # nothing retrained
         # one hit per (fold, parameter)
         assert store.hits - hits_before == 3 * len(TABLE1_PARAMETERS)
 
-    def test_fingerprint_tracks_inputs_and_mode(self):
-        records = records_for(["a", "b", "c"])
-        base = FastCrossValidator(records, max_iterations=30)
-        warm = FastCrossValidator(records, max_iterations=30,
-                                  warm_start=True)
-        other_iters = FastCrossValidator(records, max_iterations=31)
-        tagged = FastCrossValidator(records, max_iterations=30,
-                                    cache_tag="quick")
-        fingerprints = [base.fingerprint, warm.fingerprint,
-                        other_iters.fingerprint, tagged.fingerprint]
-        assert len(set(fingerprints)) == 4
-        # Same inputs -> same fingerprint (cache is actually reusable).
+    @pytest.mark.parametrize("change", sorted(PERTURBATIONS))
+    def test_fingerprint_tracks_each_input(self, change):
+        overrides, mutate = PERTURBATIONS[change]
+        base = FastCrossValidator(records_for(["a", "b", "c"]),
+                                  max_iterations=30)
+        # Same inputs -> same fingerprint (the cache is reusable) ...
         again = FastCrossValidator(records_for(["a", "b", "c"]),
                                    max_iterations=30)
         assert again.fingerprint == base.fingerprint
+        # ... and any input a fold fit depends on changes it.
+        records = records_for(["a", "b", "c"])
+        if mutate is not None:
+            mutate(records)
+        changed = FastCrossValidator(
+            records, **{"max_iterations": 30, **overrides})
+        assert changed.fingerprint != base.fingerprint
 
     def test_quarantined_fits_fall_back_to_in_process(self, tmp_path,
                                                       monkeypatch):
@@ -134,38 +152,14 @@ class TestFoldCaching:
         assert set(predictions) == {r.key for r in records}
 
 
-class TestWarmStart:
-    def test_agrees_with_cold_at_convergence(self):
-        """Warm starts follow a different float trajectory to the same
-        strictly-convex optimum: at a convergence-level CG budget the
-        predicted configurations agree on (nearly) every phase."""
-        records = structured_records(n_programs=5, phases_per_program=3)
-        cold = fast_leave_one_program_out(records, max_iterations=2000)
-        warm = fast_leave_one_program_out(records, max_iterations=2000,
-                                          warm_start=True)
-        agree = sum(cold[key] == warm[key] for key in cold)
-        assert agree / len(cold) >= 0.8
-
-    def test_warm_and_default_caches_are_disjoint(self, tmp_path):
-        records = records_for(["a", "b", "c"], phases_per_program=2)
-        store = DataStore(tmp_path)
-        fast_leave_one_program_out(records, max_iterations=30, store=store)
-        misses = store.misses
-        fast_leave_one_program_out(records, max_iterations=30, store=store,
-                                   warm_start=True)
-        # Warm mode trained its own fits (plus the all-data model)
-        # rather than reusing paper-faithful entries.
-        assert store.misses > misses
-
-
 class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fast_leave_one_program_out([])
+            FastCrossValidator([])
 
     def test_needs_two_programs(self):
         with pytest.raises(ValueError):
-            fast_leave_one_program_out(records_for(["solo"]))
+            FastCrossValidator(records_for(["solo"]))
 
     def test_fan_out_requires_store(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.model import RowCompression, SoftmaxClassifier
+from repro.model import SoftmaxClassifier
 from repro.model.optimizer import minimize_cg
 
 
@@ -108,95 +108,6 @@ class TestTraining:
         probs = clf.predict_proba(x[:5])
         assert probs.shape == (5, 4)
         assert (clf.predict(x) < 2).all()
-
-
-def grouped_problem(n_groups=12, d=4, k=3, seed=0):
-    """A training set shaped like build_parameter_dataset output: each
-    group repeats one feature row once per distinct label."""
-    rng = np.random.default_rng(seed)
-    rows, labels, weights, group_ids = [], [], [], []
-    for group in range(n_groups):
-        x = rng.normal(size=d)
-        for label in sorted(rng.choice(k, size=rng.integers(1, k + 1),
-                                       replace=False).tolist()):
-            rows.append(x)
-            labels.append(label)
-            weights.append(float(rng.integers(1, 4)))
-            group_ids.append(group)
-    return (np.vstack(rows), np.asarray(labels), np.asarray(weights),
-            np.asarray(group_ids))
-
-
-class TestRowCompression:
-    def test_from_grouped_structure(self):
-        x, labels, weights, group_ids = grouped_problem()
-        compression = RowCompression.from_grouped(x, group_ids)
-        assert compression.n_unique == len(np.unique(group_ids))
-        # Expanding the unique rows reproduces the original matrix.
-        assert (compression.unique_x[compression.inverse] == x).all()
-        # Group start offsets delimit contiguous runs.
-        starts = compression.starts
-        assert starts[0] == 0 and starts[-1] == len(x)
-        assert (np.diff(starts) >= 1).all()
-
-    def test_rejects_bad_inputs(self):
-        x = np.zeros((3, 2))
-        with pytest.raises(ValueError):
-            RowCompression.from_grouped(x, np.array([0, 1]))
-        with pytest.raises(ValueError):
-            RowCompression.from_grouped(x, np.array([1, 0, 0]))
-        with pytest.raises(ValueError):
-            RowCompression.from_grouped(np.zeros((0, 2)), np.array([],
-                                                                   dtype=int))
-
-    def test_compressed_objective_matches_reference(self):
-        """Same mathematical value and gradient as negative_objective —
-        only the float summation order differs."""
-        x, labels, weights, group_ids = grouped_problem(seed=3)
-        clf = SoftmaxClassifier(n_classes=3, regularization=0.5)
-        compression = RowCompression.from_grouped(x, group_ids)
-        objective = clf.compressed_objective(compression, labels, weights)
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            w = rng.normal(size=(x.shape[1], 3))
-            ref_value, ref_grad = clf.negative_objective(w, x, labels,
-                                                         weights)
-            value, grad = objective(w)
-            assert value == pytest.approx(ref_value, rel=1e-12)
-            np.testing.assert_allclose(grad, ref_grad, rtol=1e-10,
-                                       atol=1e-12)
-
-    def test_fit_with_compression_same_predictions(self):
-        x, labels, weights, group_ids = grouped_problem(n_groups=20, seed=5)
-        compression = RowCompression.from_grouped(x, group_ids)
-        plain = SoftmaxClassifier(n_classes=3, max_iterations=400).fit(
-            x, labels, sample_weight=weights)
-        compressed = SoftmaxClassifier(n_classes=3, max_iterations=400).fit(
-            x, labels, sample_weight=weights, compression=compression)
-        assert (plain.predict(x) == compressed.predict(x)).all()
-
-    def test_fit_rejects_misaligned_compression(self):
-        x, labels, weights, group_ids = grouped_problem()
-        compression = RowCompression.from_grouped(x[:-1], group_ids[:-1])
-        clf = SoftmaxClassifier(n_classes=3)
-        with pytest.raises(ValueError):
-            clf.fit(x, labels, compression=compression)
-
-
-class TestInitialWeights:
-    def test_warm_start_from_optimum_converges_immediately(self):
-        x, y = blobs(seed=7)
-        cold = SoftmaxClassifier(n_classes=3, max_iterations=500).fit(x, y)
-        warm = SoftmaxClassifier(n_classes=3, max_iterations=500).fit(
-            x, y, initial_weights=cold.weights)
-        assert warm.training_result.iterations <= 5
-        assert (warm.predict(x) == cold.predict(x)).all()
-
-    def test_bad_initial_shape_rejected(self):
-        x, y = blobs()
-        clf = SoftmaxClassifier(n_classes=3)
-        with pytest.raises(ValueError):
-            clf.fit(x, y, initial_weights=np.ones(7))
 
 
 class TestTrajectoryEquivalence:

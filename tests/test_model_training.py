@@ -149,18 +149,6 @@ class TestRestrict:
             full.restrict(np.array([True, True]))
 
 
-class TestCompression:
-    def test_groups_rows_by_phase(self, space):
-        parameter = parameter_by_name("width")
-        features, good_sets = suite_inputs(space, goods_per_phase=6)
-        dataset = build_parameter_dataset(parameter, features, good_sets)
-        compression = dataset.compression()
-        assert compression.n_unique == dataset.n_phases
-        # Expansion reproduces the original (repeated-row) matrix.
-        assert (compression.unique_x[compression.inverse]
-                == dataset.x).all()
-
-
 class TestBuildFullDatasets:
     def test_one_dataset_per_parameter(self, space):
         parameters = [parameter_by_name("width"),

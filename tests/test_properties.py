@@ -19,7 +19,6 @@ from repro.counters import TemporalHistogram
 from repro.model import SoftmaxClassifier, good_configurations
 from repro.model.predictor import ConfigurationPredictor
 from repro.model.quantize import QuantizedPredictor
-from repro.model.softmax import RowCompression
 from repro.timing import (
     block_reuse_distances,
     miss_ratio_curve,
@@ -239,58 +238,3 @@ class TestQuantizedProperties:
                 reference._matrices[parameter.name].weights)
         for x in rng.normal(size=(5, _QUANT_FEATURES)):
             assert rescaled.predict(x) == reference.predict(x)
-
-
-# -- row compression ----------------------------------------------------------------
-
-@st.composite
-def duplicate_pattern(draw):
-    """A random grouped duplicate pattern: U distinct rows, each repeated
-    a random number of times, with per-row labels and weights."""
-    n_unique = draw(st.integers(1, 8))
-    n_classes = draw(st.integers(2, 5))
-    repeats = [draw(st.integers(1, 4)) for _ in range(n_unique)]
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    unique_x = rng.normal(size=(n_unique, 4))
-    x = np.repeat(unique_x, repeats, axis=0)
-    group_ids = np.repeat(np.arange(n_unique), repeats)
-    labels = rng.integers(0, n_classes, size=len(x))
-    sample_weight = rng.uniform(0.1, 3.0, size=len(x))
-    model_weights = rng.normal(size=(4, n_classes))
-    return x, group_ids, labels, sample_weight, model_weights, n_classes
-
-
-class TestRowCompressionProperties:
-    """Docstring claim of ``compressed_objective``: same mathematical
-    value and gradient as ``negative_objective`` on the expanded
-    matrix (only the float summation order may differ)."""
-
-    @given(pattern=duplicate_pattern())
-    @settings(max_examples=50, deadline=None)
-    def test_weighted_objective_equivalence(self, pattern):
-        x, group_ids, labels, sample_weight, weights, n_classes = pattern
-        clf = SoftmaxClassifier(n_classes=n_classes, regularization=0.5)
-        compression = RowCompression.from_grouped(x, group_ids)
-        assert compression.n_unique == len(set(group_ids))
-
-        ref_value, ref_grad = clf.negative_objective(
-            weights, x, labels, sample_weight)
-        value, grad = clf.compressed_objective(
-            compression, labels, sample_weight)(weights)
-
-        np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-12)
-
-    @given(pattern=duplicate_pattern())
-    @settings(max_examples=25, deadline=None)
-    def test_unweighted_objective_equivalence(self, pattern):
-        x, group_ids, labels, _, weights, n_classes = pattern
-        clf = SoftmaxClassifier(n_classes=n_classes, regularization=0.5)
-        compression = RowCompression.from_grouped(x, group_ids)
-
-        ref_value, ref_grad = clf.negative_objective(weights, x, labels)
-        value, grad = clf.compressed_objective(compression, labels)(weights)
-
-        np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(grad, ref_grad, rtol=1e-9, atol=1e-12)
