@@ -20,8 +20,9 @@ Table II:
   misprediction rate;
 * **Pipeline depth** — cycles per instruction.
 
-The occupancy/port counters are observed per cycle by the
-:class:`OccupancyCollector` plugged into the simulator; the distance
+The occupancy/port counters come from the cycle core, which counts the
+cycles each structure spends at each occupancy value; the
+:class:`OccupancyCollector` bins those counts into histograms.  The distance
 counters derive from the access streams themselves (they are properties of
 the phase, gathered by the profiling hardware in the paper).
 """
@@ -41,7 +42,7 @@ from repro.timing.caches import (
     stack_distances,
 )
 from repro.timing.cycle import CycleSimulator, SimResult
-from repro.timing.resources import ARCH_REGS, CACHE_BLOCK_BYTES, OpClass
+from repro.timing.resources import ARCH_REGS, CACHE_BLOCK_BYTES
 from repro.workloads.trace import Trace
 
 __all__ = ["PhaseCounters", "CacheCounters", "OccupancyCollector",
@@ -120,7 +121,14 @@ class PhaseCounters:
 
 
 class OccupancyCollector:
-    """Cycle-simulator hook recording per-cycle structure usage."""
+    """Turns the cycle core's per-value occupancy counts into Table II's
+    width, queue and register-file temporal histograms.
+
+    Pass one to :meth:`~repro.timing.cycle.CycleSimulator.run`: the core
+    counts, per structure, the cycles spent at each occupancy value (and
+    the speculative-entry sums and dispatch/squash counts), then calls
+    :meth:`finish`, which bins those counts into the histograms below.
+    """
 
     def __init__(self, config: MicroarchConfig) -> None:
         self.config = config
@@ -153,73 +161,10 @@ class OccupancyCollector:
         self.dispatched_mem = 0
         self.squashed = 0
         self.squashed_mem = 0
-        # Raw per-cycle samples; histogram construction happens once in
-        # finish() (building per cycle would dominate simulation time).
-        self._samples: dict[str, list[int]] = {
-            name: []
-            for name in ("alu", "memport", "rob", "iq", "lsq", "intreg",
-                         "fpreg", "rdport", "wrport")
-        }
-
-    # -- simulator hooks -----------------------------------------------------
-
-    def begin(self, core: object) -> None:  # noqa: D401 - hook
-        """Called once before the first cycle."""
-
-    def on_cycle(self, core) -> None:
-        self.cycles += 1
-        issued = core.issued_by_class
-        samples = self._samples
-        samples["alu"].append(
-            issued[OpClass.IALU] + issued[OpClass.IMUL]
-            + issued[OpClass.FALU] + issued[OpClass.FMUL]
-            + issued[OpClass.BRANCH]
-        )
-        samples["memport"].append(core.mem_ports_used)
-        rob_count = len(core.rob)
-        samples["rob"].append(rob_count)
-        samples["iq"].append(core.iq_count)
-        samples["lsq"].append(core.lsq_count)
-        int_regs = core.int_regs_used
-        fp_regs = core.fp_regs_used
-        samples["intreg"].append(int_regs)
-        samples["fpreg"].append(fp_regs)
-        samples["rdport"].append(
-            core.rd_ports_int_used + core.rd_ports_fp_used
-        )
-        samples["wrport"].append(
-            core.wb_int_this_cycle + core.wb_fp_this_cycle
-        )
-        self.rob_spec_sum += core.rob_spec
-        self.iq_spec_sum += core.iq_spec
-        self.lsq_spec_sum += core.lsq_spec
-        self.rob_occ_sum += rob_count
-        self.iq_occ_sum += core.iq_count
-        self.lsq_occ_sum += core.lsq_count
-        self.int_reg_sum += int_regs
-        self.fp_reg_sum += fp_regs
-
-    def on_dispatch(self, core, i: int, speculative: bool,
-                    wrong_path: bool) -> None:
-        self.dispatched += 1
-        op = core.ops[i]
-        if op == OpClass.LOAD or op == OpClass.STORE:
-            self.dispatched_mem += 1
-
-    def on_issue(self, core, i: int) -> None:  # noqa: D401 - hook
-        """Per-issue hook (port usage is read per cycle instead)."""
-
-    def on_commit(self, core, i: int) -> None:  # noqa: D401 - hook
-        """Per-commit hook."""
-
-    def on_squash(self, core, i: int) -> None:
-        self.squashed += 1
-        op = core.ops[i]
-        if op == OpClass.LOAD or op == OpClass.STORE:
-            self.squashed_mem += 1
 
     def finish(self, core, result: SimResult) -> None:
-        """Build the occupancy histograms from the per-cycle samples."""
+        """Build the histograms and sums from the core's occupancy counts."""
+        occupancy = core.occupancy
         targets = {
             "alu": self.alu_usage, "memport": self.mem_port_usage,
             "rob": self.rob_usage, "iq": self.iq_usage,
@@ -228,7 +173,26 @@ class OccupancyCollector:
             "wrport": self.wr_port_usage,
         }
         for name, histogram in targets.items():
-            histogram.add_many(np.asarray(self._samples[name], dtype=np.int64))
+            histogram.add_counts(occupancy[name])
+
+        def total(name: str) -> int:
+            return sum(value * cycles
+                       for value, cycles in enumerate(occupancy[name]))
+
+        self.cycles = result.cycles
+        self.rob_occ_sum = total("rob")
+        self.iq_occ_sum = total("iq")
+        self.lsq_occ_sum = total("lsq")
+        self.int_reg_sum = total("intreg")
+        self.fp_reg_sum = total("fpreg")
+        sums = core.speculative_sums
+        self.rob_spec_sum = sums["rob"]
+        self.iq_spec_sum = sums["iq"]
+        self.lsq_spec_sum = sums["lsq"]
+        self.dispatched = core.dispatched
+        self.dispatched_mem = core.dispatched_mem
+        self.squashed = core.squashed
+        self.squashed_mem = core.squashed_mem
 
     # -- summaries -------------------------------------------------------------
 

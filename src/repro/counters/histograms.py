@@ -88,6 +88,19 @@ class TemporalHistogram:
             np.int64
         )
 
+    def add_counts(self, counts) -> None:
+        """Record ``counts[v]`` events at each value ``v = 0, 1, ...``.
+
+        The weighted ``bincount`` sums in float64, which is exact for
+        totals below 2**53.
+        """
+        counts = np.asarray(counts, dtype=np.int64)
+        indices = np.searchsorted(self.edges, np.arange(len(counts)),
+                                  side="left")
+        indices = np.minimum(indices, len(self.counts) - 1)
+        self.counts += np.bincount(indices, weights=counts,
+                                   minlength=len(self.counts)).astype(np.int64)
+
     def normalized(self, include_cold: bool = False) -> np.ndarray:
         """Bin fractions (feature representation); zeros if empty."""
         counts = self.counts.astype(np.float64)

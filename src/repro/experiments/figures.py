@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import obs
 from repro.config.configuration import MicroarchConfig
 from repro.config.parameters import (
     TABLE1_PARAMETERS,
@@ -716,30 +717,32 @@ def evaluator_validation(
     n_configs: int = 12,
 ) -> EvaluatorValidation:
     """Simulate a config sample with both evaluators; compare rankings."""
-    evaluator = IntervalEvaluator()
-    keys = pipeline.phase_keys[:: max(1, len(pipeline.phase_keys) // n_phases)]
-    keys = keys[:n_phases]
-    correlations: dict[str, float] = {}
-    log_errors: dict[str, float] = {}
-    for key in keys:
-        data = pipeline.all_phase_data[key]
-        trace = pipeline.phase_trace(*key)
-        configs = list(data.evaluations)[:n_configs]
-        cycle_eff = []
-        fast_eff = []
-        errors = []
-        for config in configs:
-            simulator = CycleSimulator(config)
-            result = simulator.run(trace)
-            report = account(result.activity, simulator.params, result.cycles)
-            cycle_ips = result.ips
-            cycle_eff.append(cycle_ips**3 / report.power_watts)
-            fast = data.evaluations[config]
-            fast_eff.append(fast.efficiency)
-            errors.append(abs(np.log2(fast.ipc / result.ipc)))
-        label = f"{key[0]}.p{key[1]}"
-        correlations[label] = _spearman(np.asarray(cycle_eff),
-                                        np.asarray(fast_eff))
-        log_errors[label] = float(np.mean(errors))
+    with obs.span("validation", phases=n_phases, configs=n_configs):
+        evaluator = IntervalEvaluator()
+        stride = max(1, len(pipeline.phase_keys) // n_phases)
+        keys = pipeline.phase_keys[::stride][:n_phases]
+        correlations: dict[str, float] = {}
+        log_errors: dict[str, float] = {}
+        for key in keys:
+            data = pipeline.all_phase_data[key]
+            trace = pipeline.phase_trace(*key)
+            configs = list(data.evaluations)[:n_configs]
+            cycle_eff = []
+            fast_eff = []
+            errors = []
+            for config in configs:
+                simulator = CycleSimulator(config)
+                result = simulator.run(trace)
+                report = account(result.activity, simulator.params,
+                                 result.cycles)
+                cycle_ips = result.ips
+                cycle_eff.append(cycle_ips**3 / report.power_watts)
+                fast = data.evaluations[config]
+                fast_eff.append(fast.efficiency)
+                errors.append(abs(np.log2(fast.ipc / result.ipc)))
+            label = f"{key[0]}.p{key[1]}"
+            correlations[label] = _spearman(np.asarray(cycle_eff),
+                                            np.asarray(fast_eff))
+            log_errors[label] = float(np.mean(errors))
     return EvaluatorValidation(rank_correlations=correlations,
                                ipc_log_errors=log_errors)

@@ -20,9 +20,21 @@ Table I design space:
 * an L1I/L1D/L2 cache hierarchy with size-dependent (Cacti) latencies;
 * activity accounting for the Wattch power model.
 
-A :class:`CycleSimulator` optionally drives a *collector* (see
-:mod:`repro.counters.collector`) which observes per-cycle occupancies to
-build the paper's temporal-histogram hardware counters.
+Each cycle runs completion, commit, issue and fetch/dispatch in that order,
+inlined into one loop over local variables.  The loop is event-driven where
+the pipeline is idle: a cycle that pops no completion event, commits,
+issues and fetches nothing (and discards no stale ready-queue entry) leaves
+the state unchanged, so every following cycle repeats it until the next
+completion event or the end of a fetch stall.  The loop jumps straight
+there.  (Nothing waits in the ready queue for time: an entry can issue
+once pushed, and waits only for a functional unit, a port or an older
+store, which an idle cycle does not change.)
+
+A :class:`CycleSimulator` run with a *collector* (see
+:mod:`repro.counters.collector`) also counts, per structure, the cycles
+spent at each occupancy value -- a skipped stretch adds to the current
+value in O(1) -- and hands those counts to ``collector.finish``, which
+builds the paper's temporal-histogram hardware counters from them.
 """
 
 from __future__ import annotations
@@ -30,6 +42,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.config.configuration import MicroarchConfig
 from repro.timing.branch import GshareBTB
@@ -47,17 +61,18 @@ __all__ = ["CycleSimulator", "SimResult", "SimulationError"]
 
 _DEST_NONE, _DEST_INT, _DEST_FP = 0, 1, 2
 
-_DEST_FILE = {
-    OpClass.IALU: _DEST_INT,
-    OpClass.IMUL: _DEST_INT,
-    OpClass.FALU: _DEST_FP,
-    OpClass.FMUL: _DEST_FP,
-    OpClass.LOAD: _DEST_INT,
-    OpClass.STORE: _DEST_NONE,
-    OpClass.BRANCH: _DEST_NONE,
-}
+#: Destination register file per OpClass code.
+_DEST_FILE = np.array([_DEST_INT, _DEST_INT, _DEST_FP, _DEST_FP, _DEST_INT,
+                       _DEST_NONE, _DEST_NONE], dtype=np.int64)
 
-_FP_OPS = (OpClass.FALU, OpClass.FMUL)
+_ACTIVITY_KEYS = (
+    "icache_access", "icache_miss", "dcache_access", "dcache_miss",
+    "l2_access", "l2_miss", "gshare_access", "btb_access",
+    "rob_write", "rob_read", "iq_write", "iq_wakeup", "iq_select",
+    "lsq_write", "lsq_search", "rf_read_int", "rf_read_fp",
+    "rf_write_int", "rf_write_fp", "ialu_op", "imul_op",
+    "falu_op", "fmul_op",
+)
 
 
 class SimulationError(RuntimeError):
@@ -112,11 +127,15 @@ class CycleSimulator:
 
         Args:
             trace: committed-path instruction stream.
-            collector: optional hardware-counter collector; must provide
-                ``begin(core)``, ``on_cycle(core)``, ``on_dispatch(core, i,
-                speculative, wrong_path)``, ``on_issue(core, i)``,
-                ``on_commit(core, i)``, ``on_squash(core, i)`` and
-                ``finish(core, result)``.
+            collector: optional hardware-counter collector.  With one, the
+                core counts the cycles spent at each occupancy value of
+                every structure and then calls ``finish(core, result)``,
+                which reads ``core.occupancy`` (structure name -> list of
+                cycle counts indexed by value), ``core.speculative_sums``
+                (``"rob"``/``"iq"``/``"lsq"`` -> per-cycle sum of the
+                speculative entries) and ``core.dispatched``,
+                ``core.dispatched_mem``, ``core.squashed`` and
+                ``core.squashed_mem``.
             warm: pre-train caches and branch predictor with one functional
                 pass before the timed run, standing in for the paper's
                 10M-instruction warm-up (phases are stationary, so the
@@ -139,7 +158,9 @@ class CycleSimulator:
 
 
 class _CoreState:
-    """Mutable simulation state (one per run)."""
+    """One run: the trace as Python lists, the warmed caches and branch
+    predictor, and (after :meth:`execute` with a collector) the occupancy
+    counts.  Everything else lives in :meth:`execute`'s locals."""
 
     def __init__(self, params: MachineParams, trace: Trace,
                  collector: object | None) -> None:
@@ -148,97 +169,16 @@ class _CoreState:
         self.collector = collector
         config = params.config
 
-        n = len(trace)
-        self.n = n
-        # Hot-loop copies of the trace as plain Python lists.
+        self.n = len(trace)
         self.ops = trace.ops.tolist()
         self.src1 = trace.src1.tolist()
         self.src2 = trace.src2.tolist()
         self.addr = trace.addr.tolist()
         self.pc = trace.pc.tolist()
         self.taken = trace.taken.tolist()
-
-        # Per-index instruction state (reset on (re)dispatch).
-        self.gen = [0] * n
-        self.in_flight = [False] * n
-        self.issued = [False] * n
-        self.completed = [False] * n
-        self.committed = [False] * n
-        self.wrong_path = [False] * n
-        self.speculative = [False] * n
-        self.waiting = [0] * n
-        self.ready_at = [0] * n
-        self.wb_cycle = [0] * n
-        self.complete_cycle = [0] * n
-        self.mispredicted = [False] * n
-
-        # Machinery.
-        self.rob: deque[int] = deque()
-        self.ready_heap: list[int] = []
-        self.events: list[tuple[int, int, int]] = []  # (cycle, idx, gen)
-        self.dependents: dict[int, list[tuple[int, int]]] = {}
-        self.unissued_stores: list[int] = []
-        self.wb_counts: dict[tuple[int, int], int] = {}
-
-        # Resources.
-        self.iq_count = 0
-        self.lsq_count = 0
-        self.free_int_regs = config.rf_size - ARCH_REGS
-        self.free_fp_regs = config.rf_size - ARCH_REGS
-        self.branches_unresolved = 0
-        self.rob_spec = 0
-        self.iq_spec = 0
-        self.lsq_spec = 0
-
-        # Front end.
-        self.fetch_ptr = 0
-        self.fetch_stall_until = 0
-        self.last_iblock = -1
-        self.squash_owner: int | None = None
         self.bp = GshareBTB(config.gshare_size, config.btb_size)
         self.hier = CacheHierarchy(params)
-
-        # Per-cycle observation (read by collectors).
-        self.cycle = 0
-        self.issued_by_class = [0] * len(OpClass.NAMES)
-        self.mem_ports_used = 0
-        self.rd_ports_int_used = 0
-        self.rd_ports_fp_used = 0
-        self.wb_int_this_cycle = 0
-        self.wb_fp_this_cycle = 0
-
-        # Statistics.
-        self.committed_count = 0
-        self.dispatched_count = 0
-        self.wrong_path_dispatched = 0
-        self.branches_seen = 0
-        self.mispredict_count = 0
-        self.squashed_count = 0
-        self.activity: dict[str, int] = {
-            key: 0
-            for key in (
-                "icache_access", "icache_miss", "dcache_access", "dcache_miss",
-                "l2_access", "l2_miss", "gshare_access", "btb_access",
-                "rob_write", "rob_read", "iq_write", "iq_wakeup", "iq_select",
-                "lsq_write", "lsq_search", "rf_read_int", "rf_read_fp",
-                "rf_write_int", "rf_write_fp", "ialu_op", "imul_op",
-                "falu_op", "fmul_op",
-            )
-        }
-
-    # -- derived observations (collector surface) ---------------------------
-
-    @property
-    def rob_count(self) -> int:
-        return len(self.rob)
-
-    @property
-    def int_regs_used(self) -> int:
-        return self.params.config.rf_size - ARCH_REGS - self.free_int_regs
-
-    @property
-    def fp_regs_used(self) -> int:
-        return self.params.config.rf_size - ARCH_REGS - self.free_fp_regs
+        self.activity: dict[str, int] = dict.fromkeys(_ACTIVITY_KEYS, 0)
 
     # -- warm-up ---------------------------------------------------------------
 
@@ -271,395 +211,453 @@ class _CoreState:
     # -- main loop -----------------------------------------------------------
 
     def execute(self, max_cycles_per_instruction: int) -> SimResult:
-        if self.collector is not None:
-            self.collector.begin(self)
-        limit = 1000 + max_cycles_per_instruction * self.n
-        while self.committed_count < self.n:
-            self.cycle += 1
-            if self.cycle > limit:
-                raise SimulationError(
-                    f"no forward progress after {self.cycle} cycles "
-                    f"({self.committed_count}/{self.n} committed)"
-                )
-            self.issued_by_class = [0] * len(OpClass.NAMES)
-            self.mem_ports_used = 0
-            self.rd_ports_int_used = 0
-            self.rd_ports_fp_used = 0
-            self.wb_int_this_cycle = 0
-            self.wb_fp_this_cycle = 0
-
-            self._process_completions()
-            self._commit()
-            self._issue()
-            self._fetch_dispatch()
-            if self.collector is not None:
-                self.collector.on_cycle(self)
-
-        return SimResult(
-            instructions=self.n,
-            cycles=self.cycle,
-            frequency_ghz=self.params.frequency_ghz,
-            activity=dict(self.activity),
-            branches=self.branches_seen,
-            mispredicts=self.mispredict_count,
-            squashed=self.squashed_count,
-            wrong_path_dispatched=self.wrong_path_dispatched,
-        )
-
-    # -- pipeline stages ------------------------------------------------------
-
-    def _process_completions(self) -> None:
-        events = self.events
-        cycle = self.cycle
-        while events and events[0][0] <= cycle:
-            _, i, gen = heapq.heappop(events)
-            if self.gen[i] != gen or not self.in_flight[i]:
-                continue  # squashed instance
-            self.completed[i] = True
-            self.complete_cycle[i] = cycle
-            op = self.ops[i]
-            dest = _DEST_FILE[op]
-            if dest == _DEST_INT:
-                self.activity["rf_write_int"] += 1
-                self.wb_int_this_cycle += 1
-            elif dest == _DEST_FP:
-                self.activity["rf_write_fp"] += 1
-                self.wb_fp_this_cycle += 1
-            if op == OpClass.BRANCH:
-                self.branches_unresolved -= 1
-            # Wake dependents (bypass: dependents may issue this cycle).
-            waiters = self.dependents.pop(i, None)
-            if waiters:
-                self.activity["iq_wakeup"] += 1
-                for j, jgen in waiters:
-                    if self.gen[j] != jgen or not self.in_flight[j]:
-                        continue
-                    self.waiting[j] -= 1
-                    if self.waiting[j] == 0 and not self.issued[j]:
-                        self.ready_at[j] = cycle
-                        heapq.heappush(self.ready_heap, j)
-            if self.squash_owner == i:
-                self._squash_after(i)
-
-    def _commit(self) -> None:
-        width = self.params.config.width
-        rob = self.rob
-        committed = 0
-        while rob and committed < width:
-            i = rob[0]
-            if not self.completed[i] or self.complete_cycle[i] > self.cycle:
-                break
-            rob.popleft()
-            committed += 1
-            self.committed[i] = True
-            self.in_flight[i] = False
-            self.committed_count += 1
-            self.activity["rob_read"] += 1
-            self._release(i)
-            if self.collector is not None:
-                self.collector.on_commit(self, i)
-
-    def _release(self, i: int) -> None:
-        """Free the resources held by a committing or squashed instruction."""
-        op = self.ops[i]
-        dest = _DEST_FILE[op]
-        if dest == _DEST_INT:
-            self.free_int_regs += 1
-        elif dest == _DEST_FP:
-            self.free_fp_regs += 1
-        if op == OpClass.LOAD or op == OpClass.STORE:
-            self.lsq_count -= 1
-            if self.speculative[i]:
-                self.lsq_spec -= 1
-        if self.speculative[i]:
-            self.rob_spec -= 1
-            if not self.issued[i]:
-                self.iq_spec -= 1
-
-    def _issue(self) -> None:
-        params = self.params
-        width = params.config.width
-        heap = self.ready_heap
-        cycle = self.cycle
-        pools = {
-            "ialu": params.int_alus,
-            "fp": params.fp_units,
-            "mem": params.mem_ports,
-        }
-        rd_int = params.config.rf_rd_ports
-        rd_fp = params.config.rf_rd_ports
-        deferred: list[int] = []
-        issued = 0
-        pops = 0
-        max_pops = 4 * width + 4
-        while heap and issued < width and pops < max_pops:
-            i = heapq.heappop(heap)
-            pops += 1
-            if not self.in_flight[i] or self.issued[i] or self.waiting[i]:
-                continue
-            if self.ready_at[i] > cycle:
-                deferred.append(i)
-                continue
-            op = self.ops[i]
-            srcs = (1 if self.src1[i] else 0) + (1 if self.src2[i] else 0)
-            is_fp = op in _FP_OPS
-            # Structural hazards.
-            if is_fp:
-                if pools["fp"] == 0 or rd_fp < srcs:
-                    deferred.append(i)
-                    continue
-            elif op == OpClass.LOAD or op == OpClass.STORE:
-                if pools["mem"] == 0 or rd_int < max(1, srcs):
-                    deferred.append(i)
-                    continue
-                if op == OpClass.LOAD and not self._older_stores_issued(i):
-                    deferred.append(i)
-                    continue
-            else:
-                if pools["ialu"] == 0 or rd_int < srcs:
-                    deferred.append(i)
-                    continue
-            # Issue.
-            if is_fp:
-                pools["fp"] -= 1
-                rd_fp -= srcs
-                self.rd_ports_fp_used += srcs
-            elif op == OpClass.LOAD or op == OpClass.STORE:
-                pools["mem"] -= 1
-                ports = max(1, srcs)
-                rd_int -= ports
-                self.rd_ports_int_used += ports
-                self.mem_ports_used += 1
-            else:
-                pools["ialu"] -= 1
-                rd_int -= srcs
-                self.rd_ports_int_used += srcs
-            self._do_issue(i, op, srcs)
-            issued += 1
-        for i in deferred:
-            heapq.heappush(heap, i)
-
-    def _older_stores_issued(self, load_idx: int) -> bool:
-        """Loads wait until every older store has issued (address known)."""
-        stores = self.unissued_stores
-        while stores:
-            s = stores[0]
-            if self.issued[s] or not self.in_flight[s]:
-                heapq.heappop(stores)
-                continue
-            return s > load_idx
-        return True
-
-    def _do_issue(self, i: int, op: int, srcs: int) -> None:
-        params = self.params
-        cycle = self.cycle
-        self.issued[i] = True
-        if self.speculative[i]:
-            self.iq_spec -= 1
-        self.iq_count -= 1
-        self.activity["iq_select"] += 1
-        self.activity["rf_read_fp" if op in _FP_OPS else "rf_read_int"] += max(
-            srcs, 1 if op in (OpClass.LOAD, OpClass.STORE) else srcs
-        )
-        if op == OpClass.LOAD:
-            self.activity["dcache_access"] += 1
-            self.activity["lsq_search"] += 1
-            result = self.hier.access_data(self.addr[i])
-            if not result.l1_hit:
-                self.activity["dcache_miss"] += 1
-                self.activity["l2_access"] += 1
-                if not result.l2_hit:
-                    self.activity["l2_miss"] += 1
-            latency = result.latency
-        elif op == OpClass.STORE:
-            self.activity["dcache_access"] += 1
-            result = self.hier.access_data(self.addr[i])
-            if not result.l1_hit:
-                self.activity["dcache_miss"] += 1
-                self.activity["l2_access"] += 1
-                if not result.l2_hit:
-                    self.activity["l2_miss"] += 1
-            latency = 1  # retires through the write buffer
-        else:
-            latency = params.op_latency[op]
-            self.activity[
-                ("ialu" if op == OpClass.BRANCH else OpClass.name(op)) + "_op"
-            ] += 1
-        dest = _DEST_FILE[op]
-        complete = cycle + latency
-        if dest != _DEST_NONE:
-            wr_ports = params.config.rf_wr_ports
-            while self.wb_counts.get((complete, dest), 0) >= wr_ports:
-                complete += 1
-            self.wb_counts[(complete, dest)] = (
-                self.wb_counts.get((complete, dest), 0) + 1
-            )
-            self.wb_cycle[i] = complete
-        heapq.heappush(self.events, (complete, i, self.gen[i]))
-        if self.collector is not None:
-            self.collector.on_issue(self, i)
-        self.issued_by_class[op] += 1
-
-    # -- fetch / dispatch ------------------------------------------------------
-
-    def _fetch_dispatch(self) -> None:
         params = self.params
         config = params.config
-        cycle = self.cycle
-        if cycle < self.fetch_stall_until:
-            return
+        trace = self.trace
+        n = self.n
+        ops = self.ops
+        src1 = self.src1
+        src2 = self.src2
+        addr = self.addr
+        pc = self.pc
+        taken = self.taken
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        access_inst = self.hier.access_inst
+        access_data = self.hier.access_data
+        predict = self.bp.predict
+        is_mispredict = self.bp.is_mispredict
+        train = self.bp.update
+
+        # Trace-level facts, computed once.
+        dest_of = _DEST_FILE[trace.ops].tolist()
+        is_mem = trace.is_mem.tolist()
+        srcs_of = ((trace.src1 != 0).astype(np.int64)
+                   + (trace.src2 != 0)).tolist()
+
+        IALU, IMUL, FALU, FMUL = (OpClass.IALU, OpClass.IMUL, OpClass.FALU,
+                                  OpClass.FMUL)
+        LOAD, STORE, BRANCH = OpClass.LOAD, OpClass.STORE, OpClass.BRANCH
+        DEST_INT, DEST_FP = _DEST_INT, _DEST_FP
+
         width = config.width
         rob_capacity = config.rob_size
         iq_capacity = config.iq_size
         lsq_capacity = config.lsq_size
-        fetched = 0
-        while fetched < width and self.fetch_ptr < self.n:
-            i = self.fetch_ptr
-            op = self.ops[i]
-            # Back-pressure checks.
-            if len(self.rob) >= rob_capacity or self.iq_count >= iq_capacity:
-                break
-            if (op == OpClass.LOAD or op == OpClass.STORE) and (
-                self.lsq_count >= lsq_capacity
-            ):
-                break
-            dest = _DEST_FILE[op]
-            if dest == _DEST_INT and self.free_int_regs == 0:
-                break
-            if dest == _DEST_FP and self.free_fp_regs == 0:
-                break
-            if op == OpClass.BRANCH and (
-                self.branches_unresolved >= config.branches
-            ):
-                break
-            # Instruction cache.
-            block = self.pc[i] // CACHE_BLOCK_BYTES
-            if block != self.last_iblock:
-                self.activity["icache_access"] += 1
-                result = self.hier.access_inst(self.pc[i])
-                self.last_iblock = block
-                if not result.l1_hit:
-                    self.activity["icache_miss"] += 1
-                    self.activity["l2_access"] += 1
-                    if not result.l2_hit:
-                        self.activity["l2_miss"] += 1
-                    self.fetch_stall_until = cycle + result.latency
-                    break
-            stop_after = False
-            if op == OpClass.BRANCH:
-                stop_after = self._fetch_branch(i)
-            self._dispatch(i, op, dest)
-            fetched += 1
-            self.fetch_ptr += 1
-            if stop_after:
-                break
+        branch_limit = config.branches
+        rd_ports = config.rf_rd_ports
+        wr_ports = config.rf_wr_ports
+        int_alus = params.int_alus
+        fp_units = params.fp_units
+        mem_ports = params.mem_ports
+        op_latency = params.op_latency
+        mispredict_penalty = params.mispredict_penalty
+        max_pops = 4 * width + 4
+        regs = config.rf_size - ARCH_REGS
+        limit = 1000 + max_cycles_per_instruction * n
 
-    def _fetch_branch(self, i: int) -> bool:
-        """Handle prediction for branch ``i``; returns True if the fetch
-        group must stop (predicted-taken redirect)."""
-        wrong_path = self.squash_owner is not None
-        pc = self.pc[i]
-        actual = self.taken[i]
-        self.activity["gshare_access"] += 1
-        self.activity["btb_access"] += 1
-        predicted, btb_hit = self.bp.predict(pc)
-        if wrong_path:
-            # Wrong-path branches neither train nor redirect.
-            return bool(predicted and btb_hit)
-        self.branches_seen += 1
-        mispredict = self.bp.is_mispredict(predicted, btb_hit, actual)
-        self.bp.update(pc, actual)
-        if mispredict:
-            self.mispredict_count += 1
-            self.mispredicted[i] = True
-            self.squash_owner = i
-        return bool(actual if not mispredict else (predicted and btb_hit))
+        # Per-index instruction state (reset on (re)dispatch).
+        gen = [0] * n
+        in_flight = [False] * n
+        issued = [False] * n
+        completed = [False] * n
+        speculative = [False] * n
+        waiting = [0] * n
+        wb_cycle = [0] * n
 
-    def _dispatch(self, i: int, op: int, dest: int) -> None:
-        wrong_path = self.squash_owner is not None and i != self.squash_owner
-        speculative = self.branches_unresolved > 0
-        self.gen[i] += 1
-        gen = self.gen[i]
-        self.in_flight[i] = True
-        self.issued[i] = False
-        self.completed[i] = False
-        self.wrong_path[i] = wrong_path
-        self.speculative[i] = speculative
-        self.mispredicted[i] = self.mispredicted[i] and not wrong_path
+        rob: deque[int] = deque()
+        ready_heap: list[int] = []
+        events: list[tuple[int, int, int]] = []  # (cycle, idx, gen)
+        dependents: dict[int, list[tuple[int, int]]] = {}
+        unissued_stores: list[int] = []
+        wb_counts: dict[int, int] = {}  # 3 * cycle + file -> writebacks
 
-        self.rob.append(i)
-        self.iq_count += 1
-        self.activity["rob_write"] += 1
-        self.activity["iq_write"] += 1
-        self.dispatched_count += 1
-        if wrong_path:
-            self.wrong_path_dispatched += 1
-        if speculative:
-            self.rob_spec += 1
-            self.iq_spec += 1
+        iq_count = lsq_count = 0
+        free_int_regs = free_fp_regs = regs
+        branches_unresolved = rob_spec = iq_spec = lsq_spec = 0
+        fetch_ptr = fetch_stall_until = 0
+        last_iblock = -1
+        squash_owner = -1  # the unresolved mispredicted branch, or -1
 
-        if dest == _DEST_INT:
-            self.free_int_regs -= 1
-        elif dest == _DEST_FP:
-            self.free_fp_regs -= 1
-        if op == OpClass.LOAD or op == OpClass.STORE:
-            self.lsq_count += 1
-            self.activity["lsq_write"] += 1
-            if speculative:
-                self.lsq_spec += 1
-            if op == OpClass.STORE:
-                heapq.heappush(self.unissued_stores, i)
-        if op == OpClass.BRANCH:
-            self.branches_unresolved += 1
+        cycle = committed_count = 0
+        dispatched = dispatched_mem = wrong_path_dispatched = 0
+        squashed = squashed_mem = branches_seen = mispredict_count = 0
+        branch_fetches = 0
+        issues_of = [0] * len(OpClass.NAMES)
+        icache_access = icache_miss = dcache_miss = l2_access = l2_miss = 0
+        iq_wakeup = rf_read_int = rf_read_fp = rf_write_int = rf_write_fp = 0
 
-        waiting = 0
-        for dist in (self.src1[i], self.src2[i]):
-            if not dist:
-                continue
-            src = i - dist
-            if src < 0 or self.committed[src]:
-                continue
-            if self.in_flight[src] and self.completed[src]:
-                continue
-            if not self.in_flight[src]:
-                # Source belongs to a squashed, not-yet-refetched range;
-                # treat as ready (its value architecturally exists).
-                continue
-            self.dependents.setdefault(src, []).append((i, gen))
-            waiting += 1
-        self.waiting[i] = waiting
-        if waiting == 0:
-            self.ready_at[i] = self.cycle + 1
-            heapq.heappush(self.ready_heap, i)
-        if self.collector is not None:
-            self.collector.on_dispatch(self, i, speculative, wrong_path)
+        # Cycles spent at each value, per structure (with a collector).
+        collect = self.collector is not None
+        alu_counts = [0] * (width + 1)
+        mem_counts = [0] * (mem_ports + 1)
+        rob_counts = [0] * (rob_capacity + 1)
+        iq_counts = [0] * (iq_capacity + 1)
+        lsq_counts = [0] * (lsq_capacity + 1)
+        int_counts = [0] * (regs + 1)
+        fp_counts = [0] * (regs + 1)
+        rd_counts = [0] * (2 * rd_ports + 1)
+        wr_counts = [0] * (2 * wr_ports + 1)
+        rob_spec_sum = iq_spec_sum = lsq_spec_sum = 0
 
-    # -- squash -----------------------------------------------------------------
+        while committed_count < n:
+            cycle += 1
+            if cycle > limit:
+                raise SimulationError(
+                    f"no forward progress after {cycle} cycles "
+                    f"({committed_count}/{n} committed)"
+                )
+            busy = False
+            writebacks = alu_used = mem_used = rd_used = 0
 
-    def _squash_after(self, branch_idx: int) -> None:
-        """Flush every instruction younger than ``branch_idx`` and redirect."""
-        rob = self.rob
-        while rob and rob[-1] > branch_idx:
-            i = rob.pop()
-            self.in_flight[i] = False
-            self.gen[i] += 1  # invalidate pending events/wakeups
-            op = self.ops[i]
-            if not self.issued[i]:
-                self.iq_count -= 1
-            elif not self.completed[i] and _DEST_FILE[op] != _DEST_NONE:
-                key = (self.wb_cycle[i], _DEST_FILE[op])
-                count = self.wb_counts.get(key, 0)
-                if count > 1:
-                    self.wb_counts[key] = count - 1
-                else:
-                    self.wb_counts.pop(key, None)
-            if op == OpClass.BRANCH and not self.completed[i]:
-                self.branches_unresolved -= 1
-            self._release(i)
-            self.squashed_count += 1
-            if self.collector is not None:
-                self.collector.on_squash(self, i)
-        self.squash_owner = None
-        self.fetch_ptr = branch_idx + 1
-        self.fetch_stall_until = self.cycle + self.params.mispredict_penalty
-        self.last_iblock = -1
+            # -- completions (writeback, wake-up, branch resolution) --------
+            if events and events[0][0] <= cycle:
+                busy = True
+                while events and events[0][0] <= cycle:
+                    _, i, g = heappop(events)
+                    if gen[i] != g or not in_flight[i]:
+                        continue  # squashed instance
+                    completed[i] = True
+                    dest = dest_of[i]
+                    if dest == DEST_INT:
+                        rf_write_int += 1
+                        writebacks += 1
+                    elif dest == DEST_FP:
+                        rf_write_fp += 1
+                        writebacks += 1
+                    if ops[i] == BRANCH:
+                        branches_unresolved -= 1
+                    # Wake dependents (bypass: they may issue this cycle).
+                    waiters = dependents.pop(i, None)
+                    if waiters:
+                        iq_wakeup += 1
+                        for j, jgen in waiters:
+                            if gen[j] != jgen or not in_flight[j]:
+                                continue
+                            waiting[j] -= 1
+                            if waiting[j] == 0 and not issued[j]:
+                                heappush(ready_heap, j)
+                    if squash_owner != i:
+                        continue
+                    # Squash everything younger than the branch, redirect.
+                    while rob and rob[-1] > i:
+                        k = rob.pop()
+                        in_flight[k] = False
+                        gen[k] += 1  # invalidate pending events/wakeups
+                        dest = dest_of[k]
+                        if not issued[k]:
+                            iq_count -= 1
+                        elif not completed[k] and dest:
+                            key = 3 * wb_cycle[k] + dest
+                            count = wb_counts.get(key, 0)
+                            if count > 1:
+                                wb_counts[key] = count - 1
+                            else:
+                                wb_counts.pop(key, None)
+                        if ops[k] == BRANCH and not completed[k]:
+                            branches_unresolved -= 1
+                        if dest == DEST_INT:
+                            free_int_regs += 1
+                        elif dest == DEST_FP:
+                            free_fp_regs += 1
+                        if is_mem[k]:
+                            lsq_count -= 1
+                            squashed_mem += 1
+                            if speculative[k]:
+                                lsq_spec -= 1
+                        if speculative[k]:
+                            rob_spec -= 1
+                            if not issued[k]:
+                                iq_spec -= 1
+                        squashed += 1
+                    squash_owner = -1
+                    fetch_ptr = i + 1
+                    fetch_stall_until = cycle + mispredict_penalty
+                    last_iblock = -1
+
+            # -- commit (in order, completed heads) --------------------------
+            if rob and completed[rob[0]]:
+                busy = True
+                retired = 0
+                while rob and retired < width:
+                    i = rob[0]
+                    if not completed[i]:
+                        break
+                    rob.popleft()
+                    retired += 1
+                    in_flight[i] = False
+                    dest = dest_of[i]
+                    if dest == DEST_INT:
+                        free_int_regs += 1
+                    elif dest == DEST_FP:
+                        free_fp_regs += 1
+                    if speculative[i]:
+                        rob_spec -= 1
+                        if is_mem[i]:
+                            lsq_spec -= 1
+                    if is_mem[i]:
+                        lsq_count -= 1
+                committed_count += retired
+
+            # -- issue (oldest ready first, structural hazards) --------------
+            # Every live heap entry can issue now: wake-up pushes it during
+            # this cycle's completions, dispatch during an earlier cycle.
+            if ready_heap:
+                deferred = []
+                issued_now = pops = 0
+                alus = int_alus
+                fpus = fp_units
+                mports = mem_ports
+                rd_int = rd_fp = rd_ports
+                while ready_heap and issued_now < width and pops < max_pops:
+                    i = heappop(ready_heap)
+                    pops += 1
+                    if not in_flight[i] or issued[i] or waiting[i]:
+                        busy = True  # a stale entry is dropped
+                        continue
+                    op = ops[i]
+                    srcs = srcs_of[i]
+                    if op == FALU or op == FMUL:
+                        if fpus == 0 or rd_fp < srcs:
+                            deferred.append(i)
+                            continue
+                        fpus -= 1
+                        rd_fp -= srcs
+                        rf_read_fp += srcs
+                        latency = op_latency[op]
+                    elif op == LOAD or op == STORE:
+                        ports = srcs or 1
+                        if mports == 0 or rd_int < ports:
+                            deferred.append(i)
+                            continue
+                        if op == LOAD:
+                            # Loads wait until every older store has issued.
+                            blocked = False
+                            while unissued_stores:
+                                s = unissued_stores[0]
+                                if issued[s] or not in_flight[s]:
+                                    heappop(unissued_stores)
+                                    continue
+                                blocked = s < i
+                                break
+                            if blocked:
+                                deferred.append(i)
+                                continue
+                        mports -= 1
+                        rd_int -= ports
+                        rf_read_int += ports
+                        result = access_data(addr[i])
+                        if not result.l1_hit:
+                            dcache_miss += 1
+                            l2_access += 1
+                            if not result.l2_hit:
+                                l2_miss += 1
+                        # Stores retire through the write buffer.
+                        latency = result.latency if op == LOAD else 1
+                    else:
+                        if alus == 0 or rd_int < srcs:
+                            deferred.append(i)
+                            continue
+                        alus -= 1
+                        rd_int -= srcs
+                        rf_read_int += srcs
+                        latency = op_latency[op]
+                    issued[i] = True
+                    if speculative[i]:
+                        iq_spec -= 1
+                    issues_of[op] += 1
+                    issued_now += 1
+                    complete = cycle + latency
+                    dest = dest_of[i]
+                    if dest:
+                        key = 3 * complete + dest
+                        count = wb_counts.get(key, 0)
+                        while count >= wr_ports:
+                            complete += 1
+                            key += 3
+                            count = wb_counts.get(key, 0)
+                        wb_counts[key] = count + 1
+                        wb_cycle[i] = complete
+                    heappush(events, (complete, i, gen[i]))
+                for i in deferred:
+                    heappush(ready_heap, i)
+                if issued_now:
+                    busy = True
+                    iq_count -= issued_now
+                    mem_used = mem_ports - mports
+                    alu_used = issued_now - mem_used
+                    rd_used = 2 * rd_ports - rd_int - rd_fp
+
+            # -- fetch / dispatch ----------------------------------------------
+            if cycle >= fetch_stall_until:
+                fetched = 0
+                while fetched < width and fetch_ptr < n:
+                    i = fetch_ptr
+                    # Back-pressure checks.
+                    if len(rob) >= rob_capacity or iq_count >= iq_capacity:
+                        break
+                    mem = is_mem[i]
+                    if mem and lsq_count >= lsq_capacity:
+                        break
+                    dest = dest_of[i]
+                    if dest == DEST_INT:
+                        if free_int_regs == 0:
+                            break
+                    elif dest == DEST_FP and free_fp_regs == 0:
+                        break
+                    op = ops[i]
+                    if op == BRANCH and branches_unresolved >= branch_limit:
+                        break
+                    # Instruction cache.
+                    block = pc[i] // CACHE_BLOCK_BYTES
+                    if block != last_iblock:
+                        icache_access += 1
+                        result = access_inst(pc[i])
+                        last_iblock = block
+                        if not result.l1_hit:
+                            icache_miss += 1
+                            l2_access += 1
+                            if not result.l2_hit:
+                                l2_miss += 1
+                            fetch_stall_until = cycle + result.latency
+                            busy = True
+                            break
+                    stop_after = False
+                    if op == BRANCH:
+                        branch_fetches += 1
+                        predicted, btb_hit = predict(pc[i])
+                        if squash_owner >= 0:
+                            # Wrong-path branches neither train nor redirect.
+                            stop_after = predicted and btb_hit
+                        else:
+                            branches_seen += 1
+                            actual = taken[i]
+                            mispredict = is_mispredict(predicted, btb_hit,
+                                                       actual)
+                            train(pc[i], actual)
+                            if mispredict:
+                                mispredict_count += 1
+                                squash_owner = i
+                                stop_after = predicted and btb_hit
+                            else:
+                                stop_after = actual
+                    # Dispatch.
+                    if squash_owner >= 0 and i != squash_owner:
+                        wrong_path_dispatched += 1
+                    spec = branches_unresolved > 0
+                    g = gen[i] + 1
+                    gen[i] = g
+                    in_flight[i] = True
+                    issued[i] = False
+                    completed[i] = False
+                    speculative[i] = spec
+                    rob.append(i)
+                    iq_count += 1
+                    if spec:
+                        rob_spec += 1
+                        iq_spec += 1
+                    if dest == DEST_INT:
+                        free_int_regs -= 1
+                    elif dest == DEST_FP:
+                        free_fp_regs -= 1
+                    if mem:
+                        lsq_count += 1
+                        dispatched_mem += 1
+                        if spec:
+                            lsq_spec += 1
+                        if op == STORE:
+                            heappush(unissued_stores, i)
+                    elif op == BRANCH:
+                        branches_unresolved += 1
+                    # A source still executing makes this one wait.  A
+                    # source outside the ROB has committed, or belongs to a
+                    # squashed, not-yet-refetched range whose value
+                    # architecturally exists: both count as ready.
+                    pending = 0
+                    dist = src1[i]
+                    if dist:
+                        src = i - dist
+                        if src >= 0 and in_flight[src] and not completed[src]:
+                            dependents.setdefault(src, []).append((i, g))
+                            pending += 1
+                    dist = src2[i]
+                    if dist:
+                        src = i - dist
+                        if src >= 0 and in_flight[src] and not completed[src]:
+                            dependents.setdefault(src, []).append((i, g))
+                            pending += 1
+                    waiting[i] = pending
+                    if pending == 0:
+                        heappush(ready_heap, i)
+                    fetched += 1
+                    fetch_ptr += 1
+                    if stop_after:
+                        break
+                if fetched:
+                    busy = True
+                    dispatched += fetched
+
+            # -- idle skip: repeat this cycle up to the next wake-up time ----
+            weight = 1
+            if not busy:
+                wake = events[0][0] if events else limit + 1
+                if cycle < fetch_stall_until < wake:
+                    wake = fetch_stall_until
+                target = wake - 1 if wake <= limit else limit
+                if target > cycle:
+                    weight += target - cycle
+                    cycle = target
+
+            if collect:
+                alu_counts[alu_used] += weight
+                mem_counts[mem_used] += weight
+                rob_counts[len(rob)] += weight
+                iq_counts[iq_count] += weight
+                lsq_counts[lsq_count] += weight
+                int_counts[regs - free_int_regs] += weight
+                fp_counts[regs - free_fp_regs] += weight
+                rd_counts[rd_used] += weight
+                wr_counts[writebacks] += weight
+                rob_spec_sum += weight * rob_spec
+                iq_spec_sum += weight * iq_spec
+                lsq_spec_sum += weight * lsq_spec
+
+        activity = self.activity
+        for key, value in (
+            ("icache_access", icache_access), ("icache_miss", icache_miss),
+            ("dcache_access", issues_of[LOAD] + issues_of[STORE]),
+            ("dcache_miss", dcache_miss), ("l2_access", l2_access),
+            ("l2_miss", l2_miss), ("gshare_access", branch_fetches),
+            ("btb_access", branch_fetches), ("rob_write", dispatched),
+            ("rob_read", committed_count), ("iq_write", dispatched),
+            ("iq_wakeup", iq_wakeup), ("iq_select", sum(issues_of)),
+            ("lsq_write", dispatched_mem), ("lsq_search", issues_of[LOAD]),
+            ("rf_read_int", rf_read_int), ("rf_read_fp", rf_read_fp),
+            ("rf_write_int", rf_write_int), ("rf_write_fp", rf_write_fp),
+            ("ialu_op", issues_of[IALU] + issues_of[BRANCH]),
+            ("imul_op", issues_of[IMUL]), ("falu_op", issues_of[FALU]),
+            ("fmul_op", issues_of[FMUL]),
+        ):
+            activity[key] += value
+        if collect:
+            self.occupancy = {
+                "alu": alu_counts, "memport": mem_counts, "rob": rob_counts,
+                "iq": iq_counts, "lsq": lsq_counts, "intreg": int_counts,
+                "fpreg": fp_counts, "rdport": rd_counts, "wrport": wr_counts,
+            }
+            self.speculative_sums = {"rob": rob_spec_sum, "iq": iq_spec_sum,
+                                     "lsq": lsq_spec_sum}
+            self.dispatched = dispatched
+            self.dispatched_mem = dispatched_mem
+            self.squashed = squashed
+            self.squashed_mem = squashed_mem
+        return SimResult(
+            instructions=n,
+            cycles=cycle,
+            frequency_ghz=params.frequency_ghz,
+            activity=dict(activity),
+            branches=branches_seen,
+            mispredicts=mispredict_count,
+            squashed=squashed,
+            wrong_path_dispatched=wrong_path_dispatched,
+        )

@@ -111,16 +111,17 @@ class PhaseSpec:
 
 
 class _StaticBlock:
-    """One static basic block: fixed ops, a PC range, branch behaviour."""
+    """One static basic block: its slice ``[start, start + length)`` of the
+    program's ops and PCs, and its branch behaviour."""
 
-    __slots__ = ("ops", "pcs", "is_loop", "taken_prob", "trip_count",
+    __slots__ = ("start", "length", "is_loop", "taken_prob", "trip_count",
                  "taken_target", "fall_through")
 
-    def __init__(self, ops: np.ndarray, pcs: np.ndarray, is_loop: bool,
+    def __init__(self, start: int, length: int, is_loop: bool,
                  taken_prob: float, trip_count: int, taken_target: int,
                  fall_through: int) -> None:
-        self.ops = ops
-        self.pcs = pcs
+        self.start = start
+        self.length = length
         self.is_loop = is_loop
         self.taken_prob = taken_prob
         self.trip_count = trip_count
@@ -146,11 +147,15 @@ class TraceGenerator:
 
     def __init__(self, spec: PhaseSpec) -> None:
         self.spec = spec
-        self._blocks = self._build_static_code()
+        self._blocks, self._ops = self._build_static_code()
 
     # -- static code -------------------------------------------------------
 
-    def _build_static_code(self) -> list[_StaticBlock]:
+    def _build_static_code(self) -> tuple[list[_StaticBlock], np.ndarray]:
+        """The basic blocks and the ops of all of them, laid out back to
+        back from :data:`CODE_BASE` (4 bytes per instruction).  One array,
+        not two per block: generators live as long as their program, and
+        per-block arrays cost several times their data in headers."""
         spec = self.spec
         rng = np.random.default_rng(spec.stable_seed())
         mean_block = max(2.0, 1.0 / spec.branch_frac)
@@ -172,17 +177,17 @@ class TraceGenerator:
         probs = probs / probs.sum()
 
         blocks: list[_StaticBlock] = []
-        pc = CODE_BASE
-        lengths = []
+        code: list[np.ndarray] = []
+        start = 0
+        branch = np.array([OpClass.BRANCH], np.uint8)
         for b in range(spec.code_blocks):
             body_len = 1 + int(rng.geometric(1.0 / mean_block))
             body_len = min(body_len, 64)
-            body = rng.choice(6, size=body_len - 1, p=probs).astype(np.uint8)
-            ops = np.concatenate([body, np.array([OpClass.BRANCH], np.uint8)])
-            pcs = pc + 4 * np.arange(len(ops), dtype=np.int64)
-            pc += 4 * len(ops)
-            lengths.append(len(ops))
-            blocks.append(_StaticBlock(ops, pcs, False, 0.5, 0, 0, 0))
+            code.append(
+                rng.choice(6, size=body_len - 1, p=probs).astype(np.uint8))
+            code.append(branch)
+            blocks.append(_StaticBlock(start, body_len, False, 0.5, 0, 0, 0))
+            start += body_len
 
         for b, block in enumerate(blocks):
             block.fall_through = (b + 1) % spec.code_blocks
@@ -207,7 +212,7 @@ class TraceGenerator:
                     offset = 1 + min(int(rng.geometric(0.5)),
                                      max(1, spec.code_blocks // 8))
                 block.taken_target = (b + offset) % spec.code_blocks
-        return blocks
+        return blocks, np.concatenate(code)
 
     # -- dynamic walk --------------------------------------------------------
 
@@ -223,9 +228,9 @@ class TraceGenerator:
         )
         rng = np.random.default_rng((spec.stable_seed(),) + seed_parts)
 
-        ops_parts: list[np.ndarray] = []
-        pcs_parts: list[np.ndarray] = []
-        taken_parts: list[np.ndarray] = []
+        starts: list[int] = []
+        takes: list[int] = []
+        outcomes: list[bool] = []  # branch taken? (False if cut short)
         produced = 0
         # Every dynamic stream of a phase enters at the same hot-code root;
         # variation comes from branch outcomes and data streams.
@@ -233,12 +238,11 @@ class TraceGenerator:
         loop_remaining: dict[int, int] = {}
         while produced < length:
             block = self._blocks[block_id]
-            take = min(len(block.ops), length - produced)
-            ops_parts.append(block.ops[:take])
-            pcs_parts.append(block.pcs[:take])
-            taken_flags = np.zeros(take, dtype=bool)
-            ends_with_branch = take == len(block.ops)
-            if ends_with_branch:
+            take = min(block.length, length - produced)
+            starts.append(block.start)
+            takes.append(take)
+            taken = False
+            if take == block.length:
                 if block.is_loop:
                     remaining = loop_remaining.get(block_id)
                     if remaining is None:
@@ -252,16 +256,22 @@ class TraceGenerator:
                         loop_remaining.pop(block_id, None)
                 else:
                     taken = bool(rng.random() < block.taken_prob)
-                taken_flags[-1] = taken
                 block_id = block.taken_target if taken else block.fall_through
             else:
                 block_id = block.fall_through
-            taken_parts.append(taken_flags)
+            outcomes.append(taken)
             produced += take
 
-        ops = np.concatenate(ops_parts)
-        pcs = np.concatenate(pcs_parts)
-        taken = np.concatenate(taken_parts)
+        # Static position of every dynamic instruction.
+        take_counts = np.asarray(takes, dtype=np.int64)
+        ends = np.cumsum(take_counts)
+        position = np.arange(length, dtype=np.int64) + np.repeat(
+            np.asarray(starts, dtype=np.int64) - (ends - take_counts),
+            take_counts)
+        ops = self._ops[position]
+        pcs = CODE_BASE + 4 * position
+        taken = np.zeros(length, dtype=bool)
+        taken[ends - 1] = outcomes
 
         src1, src2 = self._dependences(ops, rng)
         addr = self._addresses(ops, rng)

@@ -1,18 +1,22 @@
 """Exactness of the vectorised trace-characterisation kernels.
 
-Each numpy kernel in :mod:`repro.timing` is checked against the per-element
-Python loop it replaced, kept here as a test-only oracle: critical paths,
-LRU stack distances (Fenwick tree), block/set reuse distances, gshare and
-the BTB.  Equality is exact (``==`` on whole characterisations and
-counters, ``array_equal`` on distances), because the kernels do the same
-integer arithmetic and the same final float expressions as the loops.
+Each numpy kernel in :mod:`repro.timing` -- critical paths, LRU stack
+distances, block/set reuse distances, gshare and the BTB -- is checked
+against ``characterize_pins.json``: values recorded by running the
+per-element Python loops the kernels replaced on the inputs below.
+Equality is exact.  Whole characterisations are compared through a
+SHA-256 of a canonical form that writes floats with ``float.hex``;
+distances are integer lists; rates are floats, which JSON reads back
+exactly.  Hypothesis properties that need no reference cover arbitrary
+inputs on top of the pinned ones.
 """
 
 from __future__ import annotations
 
-import importlib
-from contextlib import ExitStack
-from unittest import mock
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,6 @@ pytest.importorskip("hypothesis", reason="hypothesis is a dev dependency")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config.parameters import parameter_by_name
 from repro.counters import collect_counters
 from repro.timing import (
     block_reuse_distances,
@@ -36,241 +39,42 @@ from repro.timing.resources import OpClass
 from repro.workloads.suite import SPEC2000_NAMES, build_program, spec2000_suite
 from repro.workloads.trace import Trace
 
-# ``repro.timing`` re-exports the ``characterize`` function under the
-# module's name, so import the module by path to swap its kernels.
-characterize_module = importlib.import_module("repro.timing.characterize")
-collector_module = importlib.import_module("repro.counters.collector")
-_WINDOW_GRID = characterize_module.WINDOW_GRID
-_NOMINAL_LOAD_WEIGHT = characterize_module._NOMINAL_LOAD_WEIGHT
+PINS = json.loads(
+    Path(__file__).with_name("characterize_pins.json").read_text())
 
 
-# -- oracles: the per-element loops the kernels replaced ---------------------------
-
-def oracle_critical_paths(trace):
-    n = len(trace)
-    is_load = (trace.ops == OpClass.LOAD)
-    path_ops = []
-    path_weighted = []
-    src1_list = trace.src1.tolist()
-    src2_list = trace.src2.tolist()
-    load_list = is_load.tolist()
-    for w in _WINDOW_GRID:
-        total_ops = 0.0
-        total_weighted = 0.0
-        blocks = 0
-        for start in range(0, n - w + 1, w):
-            depth_ops = [0.0] * w
-            depth_weighted = [0.0] * w
-            max_ops = 0.0
-            max_weighted = 0.0
-            for j in range(w):
-                i = start + j
-                weight = _NOMINAL_LOAD_WEIGHT if load_list[i] else 1.0
-                best_o = 0.0
-                best_w = 0.0
-                d1 = src1_list[i]
-                if d1 and d1 <= j:
-                    best_o = depth_ops[j - d1]
-                    best_w = depth_weighted[j - d1]
-                d2 = src2_list[i]
-                if d2 and d2 <= j:
-                    o = depth_ops[j - d2]
-                    if o > best_o:
-                        best_o = o
-                    v = depth_weighted[j - d2]
-                    if v > best_w:
-                        best_w = v
-                o = best_o + 1.0
-                v = best_w + weight
-                depth_ops[j] = o
-                depth_weighted[j] = v
-                if o > max_ops:
-                    max_ops = o
-                if v > max_weighted:
-                    max_weighted = v
-            total_ops += max_ops
-            total_weighted += max_weighted
-            blocks += 1
-        path_ops.append(total_ops / max(blocks, 1))
-        path_weighted.append(total_weighted / max(blocks, 1))
-    return tuple(path_ops), tuple(path_weighted)
+def canonical(value):
+    """A JSON form of ``value`` whose floats are exact (``float.hex``)."""
+    if dataclasses.is_dataclass(value):
+        return [canonical(getattr(value, f.name))
+                for f in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return [[canonical(k), canonical(v)] for k, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return [canonical(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [str(value.dtype), canonical(value.tolist())]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value).hex()
+    raise TypeError(f"no canonical form for {type(value).__name__}")
 
 
-def oracle_stack_distances(blocks):
-    n = len(blocks)
-    out = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return out
-    tree = np.zeros(n + 1, dtype=np.int64)
-
-    def tree_add(i, delta):
-        i += 1
-        while i <= n:
-            tree[i] += delta
-            i += i & (-i)
-
-    def tree_sum(i):  # prefix sum of [0, i]
-        i += 1
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return int(total)
-
-    last_seen = {}
-    for t in range(n):
-        block = int(blocks[t])
-        prev = last_seen.get(block)
-        if prev is None:
-            out[t] = -1
-        else:
-            out[t] = tree_sum(t - 1) - tree_sum(prev)
-            tree_add(prev, -1)
-        tree_add(t, 1)
-        last_seen[block] = t
-    return out
+def digest(value) -> str:
+    text = json.dumps(canonical(value), separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def oracle_block_reuse_distances(blocks):
-    n = len(blocks)
-    out = np.empty(n, dtype=np.int64)
-    last_seen = {}
-    for t in range(n):
-        block = int(blocks[t])
-        prev = last_seen.get(block)
-        out[t] = -1 if prev is None else t - prev - 1
-        last_seen[block] = t
-    return out
-
-
-def oracle_set_reuse_distances(blocks, n_sets):
-    if n_sets <= 0:
-        raise ValueError("n_sets must be positive")
-    n = len(blocks)
-    out = np.empty(n, dtype=np.int64)
-    last_seen = {}
-    for t in range(n):
-        set_id = int(blocks[t]) % n_sets
-        prev = last_seen.get(set_id)
-        out[t] = -1 if prev is None else t - prev - 1
-        last_seen[set_id] = t
-    return out
-
-
-def oracle_simulate_gshare(pcs, taken, entries):
-    if len(pcs) != len(taken):
-        raise ValueError("pcs and taken must have equal length")
-    if len(pcs) == 0:
-        return 0.0
-    mask = entries - 1
-    history_mask = mask
-    pht = np.full(entries, 2, dtype=np.int8)
-    history = 0
-    wrong = 0
-    shifted = (pcs.astype(np.int64) >> 2)
-    for i in range(len(pcs)):
-        index = (int(shifted[i]) ^ history) & mask
-        counter = pht[index]
-        outcome = bool(taken[i])
-        if (counter >= 2) != outcome:
-            wrong += 1
-        if outcome:
-            if counter < 3:
-                pht[index] = counter + 1
-        elif counter > 0:
-            pht[index] = counter - 1
-        history = ((history << 1) | int(outcome)) & history_mask
-    return wrong / len(pcs)
-
-
-def oracle_simulate_btb(pcs, taken, entries):
-    if len(pcs) != len(taken):
-        raise ValueError("pcs and taken must have equal length")
-    mask = entries - 1
-    tags = {}
-    misses = 0
-    taken_count = 0
-    for i in range(len(pcs)):
-        pc = int(pcs[i])
-        if not taken[i]:
-            continue
-        taken_count += 1
-        index = (pc >> 2) & mask
-        if tags.get(index) != pc:
-            misses += 1
-        tags[index] = pc
-    if taken_count == 0:
-        return 0.0
-    return misses / taken_count
-
-
-def oracle_branch_tables(warm_pcs, warm_taken, pcs, taken):
-    """Branch tables as the rate over the joint stream minus a second,
-    separate simulation of the warm stream."""
-    joint_pcs = np.concatenate([warm_pcs, pcs])
-    joint_taken = np.concatenate([warm_taken, taken])
-    n_measure = len(pcs)
-    n_train = len(warm_pcs)
-    gshare_mispredict = {}
-    for size in parameter_by_name("gshare_size").values:
-        if n_measure == 0:
-            gshare_mispredict[size] = 0.0
-            continue
-        misses_joint = oracle_simulate_gshare(joint_pcs, joint_taken, size) * (
-            n_train + n_measure
-        )
-        misses_train = oracle_simulate_gshare(warm_pcs, warm_taken, size) * n_train
-        gshare_mispredict[size] = max(
-            0.0, (misses_joint - misses_train) / n_measure
-        )
-    taken_measure = int(taken.sum())
-    taken_train = int(warm_taken.sum())
-    btb_taken_miss = {}
-    for size in parameter_by_name("btb_size").values:
-        if taken_measure == 0:
-            btb_taken_miss[size] = 0.0
-            continue
-        misses_joint = oracle_simulate_btb(joint_pcs, joint_taken, size) * (
-            taken_train + taken_measure
-        )
-        misses_train = oracle_simulate_btb(warm_pcs, warm_taken, size) * taken_train
-        btb_taken_miss[size] = max(
-            0.0, (misses_joint - misses_train) / taken_measure
-        )
-    return gshare_mispredict, btb_taken_miss
-
-
-def _with_oracles(module, **oracles):
-    stack = ExitStack()
-    for name, oracle in oracles.items():
-        stack.enter_context(mock.patch.object(module, name, oracle))
-    return stack
-
-
-def oracle_characterize(trace, warm_trace=None):
-    with _with_oracles(characterize_module,
-                       _critical_paths=oracle_critical_paths,
-                       stack_distances=oracle_stack_distances,
-                       _branch_tables=oracle_branch_tables):
-        return characterize(trace, warm_trace=warm_trace)
-
-
-def oracle_collect_counters(trace, warm_trace=None):
-    with _with_oracles(collector_module,
-                       stack_distances=oracle_stack_distances,
-                       block_reuse_distances=oracle_block_reuse_distances,
-                       set_reuse_distances=oracle_set_reuse_distances):
-        return collect_counters(trace, warm_trace=warm_trace)
-
-
-def assert_same_characterization(trace, warm_trace=None):
-    fast = characterize(trace, warm_trace=warm_trace)
-    reference = oracle_characterize(trace, warm_trace=warm_trace)
-    assert fast == reference
+def assert_characterization(pin, trace, warm_trace=None):
+    char = characterize(trace, warm_trace=warm_trace)
+    assert digest(char) == pin
     # Python floats throughout, as the cached pickles and digests see them.
-    for curve in (fast.gshare_mispredict, fast.btb_taken_miss):
+    for curve in (char.gshare_mispredict, char.btb_taken_miss):
         assert all(type(v) is float for v in curve.values())
-    assert all(type(v) is float for v in fast.path_ops + fast.path_weighted)
+    assert all(type(v) is float for v in char.path_ops + char.path_weighted)
 
 
 # -- realistic inputs ------------------------------------------------------------------
@@ -288,35 +92,39 @@ class TestRealisticTraces:
     @pytest.mark.parametrize("name", SPEC2000_NAMES)
     def test_characterization_identical(self, suite_programs, name):
         program = suite_programs[name]
+        pins = PINS["characterization"]
         for interval in _INTERVALS:
             trace = program.interval_trace(interval)
             warm = program.phase_warm_trace(program.true_phase_of(interval))
-            assert_same_characterization(trace)
-            assert_same_characterization(trace, warm_trace=warm)
+            assert_characterization(pins[f"{name}/{interval}/self"], trace)
+            assert_characterization(pins[f"{name}/{interval}/warm"], trace,
+                                    warm_trace=warm)
 
     @pytest.mark.parametrize("name", ["mcf", "gcc"])
     def test_default_length_phase_trace_identical(self, suite_programs, name):
         program = suite_programs[name]
         trace = program.phase_trace(2, length=24_000)
-        assert_same_characterization(
-            trace, warm_trace=program.phase_warm_trace(2, length=24_000))
+        assert_characterization(
+            PINS["characterization"][f"{name}/phase2/L24000/warm"], trace,
+            warm_trace=program.phase_warm_trace(2, length=24_000))
 
     @pytest.mark.parametrize("name", ["mcf", "gcc", "swim"])
     def test_collect_counters_identical(self, suite_programs, name):
         program = suite_programs[name]
         trace = program.phase_trace(1, length=2_000)
         warm = program.phase_warm_trace(1, length=2_000)
-        fast = collect_counters(trace, warm_trace=warm)
-        reference = oracle_collect_counters(trace, warm_trace=warm)
+        counters = collect_counters(trace, warm_trace=warm)
+        histograms = {"btb_reuse": counters.btb_reuse}
         for side in ("icache", "dcache", "l2"):
-            a, b = getattr(fast, side), getattr(reference, side)
             for histogram in ("stack_distance", "block_reuse", "set_reuse",
                               "reduced_set_reuse"):
-                ha, hb = getattr(a, histogram), getattr(b, histogram)
-                assert np.array_equal(ha.counts, hb.counts)
-                assert ha.cold == hb.cold
-        assert np.array_equal(fast.btb_reuse.counts, reference.btb_reuse.counts)
-        assert fast.btb_reuse.cold == reference.btb_reuse.cold
+                histograms[f"{side}.{histogram}"] = getattr(
+                    getattr(counters, side), histogram)
+        pins = PINS["collect_counters"][name]
+        assert set(histograms) == set(pins)
+        for key, histogram in histograms.items():
+            assert histogram.counts.tolist() == pins[key]["counts"], key
+            assert histogram.cold == pins[key]["cold"], key
 
 
 # -- adversarial inputs -----------------------------------------------------------------
@@ -325,37 +133,69 @@ def _blocks(values):
     return np.asarray(values, dtype=np.int64)
 
 
+def pinned_block_streams():
+    rng = np.random.default_rng(11)
+    return {
+        "empty": _blocks([]),
+        "one": _blocks([3]),
+        "one-negative": _blocks([-5]),
+        "all-same": _blocks([7] * 120),
+        "distinct": _blocks(np.arange(150) * 7),
+        "alternating": _blocks(([2, 5] * 60)[:101]),
+        "small-alphabet": _blocks(rng.integers(0, 13, size=400)),
+        "four-blocks": _blocks(rng.integers(0, 4, size=257)),
+        "signed": _blocks(rng.integers(-1000, 1001, size=400)),
+    }
+
+
+_SET_COUNTS = (1, 2, 3, 8, 64)
+
 block_streams = st.one_of(
     st.just(_blocks([])),
     st.integers(-5, 5).map(lambda b: _blocks([b])),
     st.tuples(st.integers(0, 9), st.integers(1, 300)).map(
         lambda a: _blocks([a[0]] * a[1])),  # all the same block
     st.integers(1, 300).map(lambda n: _blocks(np.arange(n) * 7)),  # distinct
-    st.tuples(st.integers(0, 3), st.integers(4, 7), st.integers(1, 300)).map(
-        lambda a: _blocks(([a[0], a[1]] * a[2])[:a[2]])),  # alternating
     st.lists(st.integers(0, 12), max_size=400).map(_blocks),
     st.lists(st.integers(-1000, 1000), max_size=400).map(_blocks),
 )
 
 
 class TestDistanceKernels:
-    @given(block_streams)
-    @settings(max_examples=200, deadline=None)
-    def test_stack_distances(self, blocks):
-        assert np.array_equal(stack_distances(blocks),
-                              oracle_stack_distances(blocks))
+    def test_stack_distances(self):
+        for label, blocks in pinned_block_streams().items():
+            assert (stack_distances(blocks).tolist()
+                    == PINS["distances"][label]["stack"]), label
 
-    @given(block_streams)
-    @settings(max_examples=100, deadline=None)
-    def test_block_reuse_distances(self, blocks):
-        assert np.array_equal(block_reuse_distances(blocks),
-                              oracle_block_reuse_distances(blocks))
+    def test_block_reuse_distances(self):
+        for label, blocks in pinned_block_streams().items():
+            assert (block_reuse_distances(blocks).tolist()
+                    == PINS["distances"][label]["block_reuse"]), label
 
-    @given(block_streams, st.sampled_from([1, 2, 3, 8, 64]))
-    @settings(max_examples=100, deadline=None)
-    def test_set_reuse_distances(self, blocks, n_sets):
-        assert np.array_equal(set_reuse_distances(blocks, n_sets),
-                              oracle_set_reuse_distances(blocks, n_sets))
+    def test_set_reuse_distances(self):
+        for label, blocks in pinned_block_streams().items():
+            pins = PINS["distances"][label]["set_reuse"]
+            for n_sets in _SET_COUNTS:
+                assert (set_reuse_distances(blocks, n_sets).tolist()
+                        == pins[str(n_sets)]), (label, n_sets)
+
+    @given(block_streams, st.sampled_from(_SET_COUNTS))
+    @settings(max_examples=150, deadline=None)
+    def test_distance_properties(self, blocks, n_sets):
+        """Orderings every correct kernel obeys: a first touch is cold in
+        all three; between two touches of a block there are at least as
+        many accesses as distinct blocks; a set recurs no later than any
+        block mapped to it; one set recurs on every access."""
+        stack = stack_distances(blocks)
+        reuse = block_reuse_distances(blocks)
+        sets = set_reuse_distances(blocks, n_sets)
+        cold = reuse < 0
+        assert np.array_equal(stack < 0, cold)
+        assert (reuse[cold] == -1).all() and (stack[cold] == -1).all()
+        assert ((0 <= stack[~cold]) & (stack[~cold] <= reuse[~cold])).all()
+        assert (sets[~cold] >= 0).all() and (sets[~cold] <= reuse[~cold]).all()
+        single = set_reuse_distances(blocks, 1)
+        assert single.tolist() == [-1, *[0] * (len(blocks) - 1)][:len(blocks)]
 
     def test_distances_are_int64(self):
         for kernel in (stack_distances, block_reuse_distances):
@@ -367,20 +207,37 @@ def _branch_stream(pcs, taken):
     return (np.asarray(pcs, dtype=np.int64), np.asarray(taken, dtype=bool))
 
 
+def pinned_branch_streams():
+    rng = np.random.default_rng(12)
+    return {
+        "empty": _branch_stream([], []),
+        # Shorter than the 15-bit history of the largest gshare.
+        "shorter-than-history": _branch_stream(
+            rng.integers(0, 65, size=14) * 4, rng.random(14) < 0.5),
+        # One PC, never taken: every branch aliases one PHT entry.
+        "one-pc-never-taken": _branch_stream([0x4000] * 300, [False] * 300),
+        "one-pc": _branch_stream([0x4000] * 300, rng.random(300) < 0.5),
+        "never-taken": _branch_stream(
+            rng.integers(0, 5001, size=300) * 4, [False] * 300),
+        "always-taken": _branch_stream(
+            rng.integers(0, 41, size=300) * 4 + 0x4000, [True] * 300),
+        "mixed": _branch_stream(
+            rng.integers(0, 41, size=400) * 4 + 0x4000, rng.random(400) < 0.5),
+        "wide-pcs": _branch_stream(
+            rng.integers(-2**40, 2**40, size=200), rng.random(200) < 0.5),
+        "biased": _branch_stream(
+            rng.integers(0, 10_000, size=500) * 4, rng.random(500) < 0.7),
+    }
+
+
+_PREDICTOR_SIZES = (1, 2, 16, 1024, 4096, 32 * 1024)
+
 branch_streams = st.one_of(
     st.just(_branch_stream([], [])),
-    # Shorter than the 15-bit history of the largest gshare.
     st.lists(st.tuples(st.integers(0, 64), st.booleans()), max_size=14).map(
         lambda xs: _branch_stream([4 * p for p, _ in xs], [t for _, t in xs])),
-    # One PC, never taken: the history stays 0, so every branch aliases
-    # one PHT entry.
-    st.integers(1, 300).map(lambda n: _branch_stream([0x4000] * n, [False] * n)),
-    # One PC, any outcomes: one entry per distinct history.
     st.lists(st.booleans(), min_size=1, max_size=300).map(
         lambda ts: _branch_stream([0x4000] * len(ts), ts)),
-    # No taken branches at all.
-    st.lists(st.integers(0, 5000), min_size=1, max_size=300).map(
-        lambda ps: _branch_stream([4 * p for p in ps], [False] * len(ps))),
     st.lists(st.tuples(st.integers(0, 40), st.booleans()), max_size=400).map(
         lambda xs: _branch_stream([4 * p + 0x4000 for p, _ in xs],
                                   [t for _, t in xs])),
@@ -389,32 +246,42 @@ branch_streams = st.one_of(
         lambda xs: _branch_stream([p for p, _ in xs], [t for _, t in xs])),
 )
 
-_PREDICTOR_SIZES = st.sampled_from([1, 2, 16, 1024, 4096, 32 * 1024])
-
 
 class TestBranchKernels:
-    @given(branch_streams, _PREDICTOR_SIZES)
-    @settings(max_examples=200, deadline=None)
-    def test_gshare(self, stream, entries):
-        pcs, taken = stream
-        rate = simulate_gshare(pcs, taken, entries)
-        assert type(rate) is float
-        assert rate == oracle_simulate_gshare(pcs, taken, entries)
+    def _check(self, kernel, key):
+        for label, (pcs, taken) in pinned_branch_streams().items():
+            pins = PINS["branch_rates"][label][key]
+            for entries in _PREDICTOR_SIZES:
+                rate = kernel(pcs, taken, entries)
+                assert type(rate) is float
+                assert rate == pins[str(entries)], (label, entries)
 
-    @given(branch_streams, _PREDICTOR_SIZES)
-    @settings(max_examples=200, deadline=None)
-    def test_btb(self, stream, entries):
-        pcs, taken = stream
-        rate = simulate_btb(pcs, taken, entries)
-        assert type(rate) is float
-        assert rate == oracle_simulate_btb(pcs, taken, entries)
+    def test_gshare(self):
+        self._check(simulate_gshare, "gshare")
+
+    def test_btb(self):
+        self._check(simulate_btb, "btb")
 
     def test_single_pht_entry_aliases_every_branch(self):
-        rng = np.random.default_rng(3)
-        pcs = rng.integers(0, 10_000, size=500) * 4
-        taken = rng.random(500) < 0.7
-        assert simulate_gshare(pcs, taken, 1) == oracle_simulate_gshare(
-            pcs, taken, 1)
+        pcs, taken = pinned_branch_streams()["biased"]
+        assert simulate_gshare(pcs, taken, 1) == (
+            PINS["branch_rates"]["biased"]["gshare"]["1"])
+
+    @given(branch_streams, st.sampled_from(_PREDICTOR_SIZES))
+    @settings(max_examples=150, deadline=None)
+    def test_rate_properties(self, stream, entries):
+        """Rates are Python floats in [0, 1].  With no taken branch the
+        global history stays 0 and the BTB is never consulted, so each
+        weakly-taken PHT entry mispredicts at most once and the BTB never
+        misses."""
+        pcs, taken = stream
+        gshare = simulate_gshare(pcs, taken, entries)
+        btb = simulate_btb(pcs, taken, entries)
+        assert type(gshare) is float and type(btb) is float
+        assert 0.0 <= gshare <= 1.0 and 0.0 <= btb <= 1.0
+        if not taken.any():
+            assert btb == 0.0
+            assert round(gshare * len(pcs)) <= entries
 
     @pytest.mark.parametrize("kernel", [simulate_gshare, simulate_btb])
     def test_length_mismatch_rejected(self, kernel):
@@ -422,46 +289,96 @@ class TestBranchKernels:
             kernel(np.zeros(3, dtype=np.int64), np.zeros(2, dtype=bool), 1024)
 
 
-@st.composite
-def traces(draw, min_size=1, max_size=300, branches=True):
-    n = draw(st.integers(min_size, max_size))
-    seed = draw(st.integers(0, 2**32 - 1))
+def make_trace(n, seed, max_distance, footprint, code, taken_p, branches=True):
     rng = np.random.default_rng(seed)
     codes = [c for c in range(len(OpClass.NAMES))
              if branches or c != OpClass.BRANCH]
     ops = rng.choice(codes, size=n).astype(np.uint8)
-    max_distance = draw(st.sampled_from([1, 4, 40, 300]))
     src1 = rng.integers(0, max_distance + 1, size=n).astype(np.int32)
     src2 = rng.integers(0, max_distance + 1, size=n).astype(np.int32)
-    footprint = draw(st.sampled_from([1, 8, 1000]))
     is_mem = (ops == OpClass.LOAD) | (ops == OpClass.STORE)
     addr = np.where(is_mem, rng.integers(0, footprint, size=n) * 64, 0)
-    code = draw(st.sampled_from([1, 30, 2000]))
     pc = (rng.integers(0, code, size=n) * 4 + 0x4000).astype(np.int64)
-    taken = rng.random(n) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    taken = rng.random(n) < taken_p
     return Trace(ops=ops, src1=src1, src2=src2, addr=addr.astype(np.int64),
                  pc=pc, taken=taken)
 
 
+#: name -> (trace arguments, warm-trace arguments or None) for
+#: :func:`make_trace`: length, seed, dependence distance bound, data
+#: footprint (blocks), code footprint (instructions), taken probability
+#: and whether branches occur.
+_ADVERSARIAL_TRACES = {
+    "one": ((1, 1, 1, 1, 1, 0.5), None),
+    "two": ((2, 2, 4, 8, 30, 1.0), None),
+    "three": ((3, 3, 300, 1000, 2000, 0.0), None),
+    "short-dense": ((57, 4, 1, 1, 1, 0.5), (31, 5, 4, 8, 30, 0.5)),
+    "short-sparse": ((150, 6, 300, 1000, 2000, 1.0), (200, 7, 40, 1, 1, 0.0)),
+    "largest-window-minus-one": ((223, 8, 40, 8, 30, 0.5),
+                                 (223, 9, 4, 1000, 2000, 1.0)),
+    "warm-without-branches": ((700, 10, 40, 1000, 30, 0.5),
+                              (100, 11, 4, 8, 30, 0.5, False)),
+    "long-warm-without-branches": ((224, 12, 300, 8, 1, 1.0),
+                                   (64, 13, 1, 1000, 2000, 0.0, False)),
+    "without-branches": ((400, 14, 4, 8, 2000, 0.5, False), None),
+    "without-branches-deep": ((333, 15, 300, 1, 1, 0.0, False), None),
+}
+
+
+def assert_adversarial(label):
+    args, warm_args = _ADVERSARIAL_TRACES[label]
+    pins = PINS["adversarial_characterization"][label]
+    trace = make_trace(*args)
+    assert_characterization(pins["self"], trace)
+    if warm_args is not None:
+        assert_characterization(pins["warm"], trace,
+                                warm_trace=make_trace(*warm_args))
+
+
+@st.composite
+def traces(draw, min_size=1, max_size=300):
+    return make_trace(
+        draw(st.integers(min_size, max_size)),
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.sampled_from([1, 4, 40, 300])),
+        draw(st.sampled_from([1, 8, 1000])),
+        draw(st.sampled_from([1, 30, 2000])),
+        draw(st.sampled_from([0.0, 0.5, 1.0])),
+        draw(st.booleans()),
+    )
+
+
 class TestCharacterizeAdversarial:
-    @given(traces(max_size=3))
-    @settings(max_examples=30, deadline=None)
-    def test_shorter_than_smallest_window(self, trace):
-        assert_same_characterization(trace)
+    def test_shorter_than_smallest_window(self):
+        for label in ("one", "two", "three"):
+            assert_adversarial(label)
 
-    @given(traces(max_size=223), traces(max_size=223))
+    def test_shorter_than_largest_window(self):
+        for label in ("short-dense", "short-sparse",
+                      "largest-window-minus-one"):
+            assert_adversarial(label)
+
+    def test_warm_trace_without_branches(self):
+        for label in ("warm-without-branches", "long-warm-without-branches"):
+            assert_adversarial(label)
+
+    def test_trace_without_branches(self):
+        for label in ("without-branches", "without-branches-deep"):
+            assert_adversarial(label)
+
+    @given(traces(max_size=400), traces(max_size=100))
     @settings(max_examples=40, deadline=None)
-    def test_shorter_than_largest_window(self, trace, warm):
-        assert_same_characterization(trace)
-        assert_same_characterization(trace, warm_trace=warm)
-
-    @given(traces(min_size=224, max_size=700),
-           traces(max_size=100, branches=False))
-    @settings(max_examples=25, deadline=None)
-    def test_warm_trace_without_branches(self, trace, warm):
-        assert_same_characterization(trace, warm_trace=warm)
-
-    @given(traces(max_size=400, branches=False))
-    @settings(max_examples=20, deadline=None)
-    def test_trace_without_branches(self, trace):
-        assert_same_characterization(trace)
+    def test_characterization_properties(self, trace, warm):
+        """Paths count at least one instruction and at most the window,
+        load weighting only lengthens them, and every rate is a Python
+        float in [0, 1]."""
+        char = characterize(trace, warm_trace=warm)
+        for window, ops, weighted in zip(char.window_sizes, char.path_ops,
+                                         char.path_weighted):
+            assert type(ops) is float and type(weighted) is float
+            if len(trace) >= window:
+                assert 1.0 <= ops <= window
+            assert ops <= weighted
+        for curve in (char.gshare_mispredict, char.btb_taken_miss):
+            assert all(type(v) is float and 0.0 <= v <= 1.0 + 1e-12
+                       for v in curve.values())

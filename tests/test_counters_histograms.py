@@ -74,6 +74,20 @@ class TestBulkAndStats:
         assert (one.counts == two.counts).all()
         assert one.cold == two.cold
 
+    @pytest.mark.parametrize("maximum, bins", [(10, 10), (48, 10), (6, 7),
+                                               (128, 16)])
+    def test_add_counts_matches_add_many(self, maximum, bins):
+        # Counts per value 0..maximum+2: values past the last edge clamp.
+        counts = np.random.default_rng(maximum).integers(
+            0, 10**6, size=maximum + 3)
+        expected = TemporalHistogram.linear(maximum, bins)
+        expected.add_many(np.repeat(np.arange(len(counts)), counts))
+        histogram = TemporalHistogram.linear(maximum, bins)
+        histogram.add_counts(counts.tolist())
+        assert histogram.counts.dtype == np.int64
+        assert histogram.counts.tolist() == expected.counts.tolist()
+        assert histogram.cold == 0
+
     def test_normalized_sums_to_one(self):
         histogram = log2_histogram(np.array([1, 2, 4, 8, 100]), 256)
         assert histogram.normalized().sum() == pytest.approx(1.0)

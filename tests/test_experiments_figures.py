@@ -1,7 +1,10 @@
 """Tests for the figure/table generators (quick-scale pipeline)."""
 
+import os
+
 import pytest
 
+from repro import obs
 from repro.experiments.figures import (
     evaluator_validation,
     figure3,
@@ -17,6 +20,7 @@ from repro.experiments.figures import (
     table4,
     table5,
 )
+from repro.obs.shards import read_records, shard_path
 
 
 class TestStaticTables:
@@ -103,3 +107,20 @@ class TestPipelineFigures:
                                       n_configs=5)
         assert len(result.rank_correlations) == 2
         assert all(-1 <= c <= 1 for c in result.rank_correlations.values())
+
+    def test_evaluator_validation_records_span(self, quick_pipeline,
+                                               tmp_path):
+        untraced = evaluator_validation(quick_pipeline, n_phases=1,
+                                        n_configs=2)
+        obs.configure(enabled=True, directory=str(tmp_path))
+        try:
+            traced = evaluator_validation(quick_pipeline, n_phases=1,
+                                          n_configs=2)
+            spans = [record for record in
+                     read_records(shard_path(tmp_path, os.getpid()))
+                     if record["name"] == "validation"]
+        finally:
+            obs.reset_from_env()
+        assert traced == untraced
+        assert [span["attrs"] for span in spans] == [
+            {"phases": 1, "configs": 2}]

@@ -1,10 +1,13 @@
 """Tests for PhaseSpec validation and TraceGenerator behaviour."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.timing import CACHE_BLOCK_BYTES
 from repro.workloads import PhaseSpec, TraceGenerator
+from repro.workloads.suite import build_program, spec2000_suite
 
 
 class TestPhaseSpecValidation:
@@ -161,3 +164,23 @@ class TestGeneration:
         idx = np.arange(len(trace))
         assert (trace.src1 <= idx).all()
         assert (trace.src2 <= idx).all()
+
+    @pytest.mark.parametrize("name, length, seed, pinned", [
+        ("gcc", 8, 0, "8f12752890de3478f6f6520c4250c396"),
+        ("gcc", 3001, 1, "d41320735b99d67db0ea91186ff6f98d"),
+        ("swim", 24_000, 2, "48da1095820e53203b3169bc0ec4c0ca"),
+        ("mcf", 3001, 1, "65ae3901ad315179b6dd802cdd399011"),
+    ])
+    def test_traces_match_pins(self, name, length, seed, pinned):
+        """Every field's bytes and dtype, pinned from the generator that
+        stored two arrays per static block: laying the static code out in
+        one array must not move a single instruction."""
+        (profile,) = spec2000_suite((name,))
+        spec = build_program(profile).phase_specs[1]
+        trace = TraceGenerator(spec).generate(length, stream_seed=seed)
+        digest = hashlib.sha256()
+        for field in ("ops", "src1", "src2", "addr", "pc", "taken"):
+            array = getattr(trace, field)
+            digest.update(str(array.dtype).encode())
+            digest.update(array.tobytes())
+        assert digest.hexdigest()[:32] == pinned
